@@ -24,16 +24,11 @@ const metricsOverheadLimitPct = 2.0
 
 // writeExperimentMetrics aggregates the counter sinks of every SoC an
 // experiment booted and writes dir/<name>.prom and dir/<name>.json.
-// The canonical counter set is materialized first so each dump covers
-// the full component namespace, zeros included; summing across sinks
-// is commutative, so the files are byte-identical at any -j.
+// Each dump covers the full canonical counter namespace, zeros
+// included; summing across sinks is commutative, so the files are
+// byte-identical at any -j.
 func writeExperimentMetrics(dir, name string, sinks []*sim.Stats) error {
 	reg := obs.NewRegistry()
-	canon := sim.NewStats()
-	for _, n := range sim.CanonicalCounters() {
-		canon.Counter(n)
-	}
-	reg.AttachStats(canon)
 	for _, s := range sinks {
 		reg.AttachStats(s)
 	}

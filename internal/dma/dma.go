@@ -195,13 +195,7 @@ func (e *Engine) Do(req Request, sp *spad.Scratchpad, domain spad.DomainID, at s
 		return 0, fmt.Errorf("dma: %s %d bytes at va %#x: %w", req.Dir, req.Bytes, uint64(req.VA), err)
 	}
 
-	if e.stats != nil {
-		e.stats.Inc(sim.CtrDMARequests)
-		e.stats.Add(sim.CtrDMAPackets, int64((req.Bytes+xlate.PacketBytes-1)/xlate.PacketBytes))
-		e.stats.Add(sim.CtrDMABytes, int64(req.Bytes))
-		e.stats.Inc(sim.CtrDRAMRequests)
-		e.stats.Add(sim.CtrDRAMBytes, int64(req.Bytes))
-	}
+	e.count(req)
 
 	// The translator's stall delays issue; then the L2 (if attached)
 	// serves hits from its banks while misses pay the channel.
@@ -227,6 +221,15 @@ func (e *Engine) Do(req Request, sp *spad.Scratchpad, domain spad.DomainID, at s
 	return done, nil
 }
 
+// count charges one translated request to the DMA and DRAM counters.
+func (e *Engine) count(req Request) {
+	e.stats.IncID(sim.IDDMARequests)
+	e.stats.AddID(sim.IDDMAPackets, int64((req.Bytes+xlate.PacketBytes-1)/xlate.PacketBytes))
+	e.stats.AddID(sim.IDDMABytes, int64(req.Bytes))
+	e.stats.IncID(sim.IDDRAMRequests)
+	e.stats.AddID(sim.IDDRAMBytes, int64(req.Bytes))
+}
+
 // applyStalls consumes due DMA-stall events. Each one freezes the
 // request until the engine's watchdog fires, then reissues it with a
 // doubled (capped) backoff; past RetryLimit the request fails closed.
@@ -239,18 +242,12 @@ func (e *Engine) applyStalls(issue sim.Cycle) (sim.Cycle, error) {
 		if _, ok := e.inj.Take(fault.DMAStall, issue); !ok {
 			return issue, nil
 		}
-		if e.stats != nil {
-			e.stats.Inc(sim.CtrDMATimeouts)
-		}
+		e.stats.IncID(sim.IDDMATimeouts)
 		if attempt >= e.cfg.RetryLimit {
 			return 0, ErrStalled
 		}
-		if e.stats != nil {
-			e.stats.Inc(sim.CtrDMARetries)
-		}
-		if e.obsRetry != nil {
-			e.obsRetry.Inc()
-		}
+		e.stats.IncID(sim.IDDMARetries)
+		e.obsRetry.Inc()
 		issue += backoff
 		if backoff < e.cfg.WatchdogCycles*8 {
 			backoff *= 2
@@ -317,13 +314,7 @@ func (e *Engine) DoPipelined(reqs []Request, sp *spad.Scratchpad, domain spad.Do
 		if err != nil {
 			return 0, fmt.Errorf("dma: %s %d bytes at va %#x: %w", req.Dir, req.Bytes, uint64(req.VA), err)
 		}
-		if e.stats != nil {
-			e.stats.Inc(sim.CtrDMARequests)
-			e.stats.Add(sim.CtrDMAPackets, int64((req.Bytes+xlate.PacketBytes-1)/xlate.PacketBytes))
-			e.stats.Add(sim.CtrDMABytes, int64(req.Bytes))
-			e.stats.Inc(sim.CtrDRAMRequests)
-			e.stats.Add(sim.CtrDRAMBytes, int64(req.Bytes))
-		}
+		e.count(req)
 		issue += res.Stall
 		issue, err = e.applyStalls(issue)
 		if err != nil {

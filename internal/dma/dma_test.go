@@ -20,7 +20,7 @@ type fixture struct {
 	channel *sim.Resource
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	stats := sim.NewStats()
 	phys := mem.NewPhysical()
@@ -184,5 +184,25 @@ func TestDMAFunctionalRespectsSpadIsolation(t *testing.T) {
 func TestDirectionString(t *testing.T) {
 	if ToScratchpad.String() != "mvin" || ToMemory.String() != "mvout" {
 		t.Fatal("direction names")
+	}
+}
+
+// BenchmarkDoPipelined measures the per-request DMA hot path: a
+// 64-request timing-only batch (translate, count, claim the channel).
+func BenchmarkDoPipelined(b *testing.B) {
+	f := newFixture(b)
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{VA: mem.VirtAddr(0x8000_0000 + i*1024), Bytes: 1024, Dir: ToScratchpad}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	at := sim.Cycle(0)
+	for i := 0; i < b.N; i++ {
+		end, err := f.eng.DoPipelined(reqs, nil, spad.NonSecure, at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at = end
 	}
 }

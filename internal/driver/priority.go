@@ -93,9 +93,7 @@ func (d *Driver) RunPriority(core *npu.Core, tasks []PrioTask, flush bool) (Prio
 		// Account the switch.
 		if last != nil && last != cur {
 			res.Preemptions++
-			if d.stats != nil {
-				d.stats.Inc(sim.CtrCtxSwitches)
-			}
+			d.stats.IncID(sim.IDCtxSwitches)
 			if flush && !last.done {
 				cost := spad.FlushCost(npu.FlushLiveBytes(last.pt.Task.Program),
 					d.cfg.DRAMBytesPerCycle, d.cfg.DRAMLatency, d.stats)

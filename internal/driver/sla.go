@@ -63,9 +63,7 @@ func (d *Driver) MeasurePreemption(core *npu.Core, low, high *Task, arrival sim.
 		start += spad.FlushCost(npu.FlushLiveBytes(low.Program),
 			d.cfg.DRAMBytesPerCycle, d.cfg.DRAMLatency, d.stats)
 	}
-	if d.stats != nil {
-		d.stats.Inc(sim.CtrCtxSwitches)
-	}
+	d.stats.IncID(sim.IDCtxSwitches)
 	// The high-priority task's first op-kernel marks its start; we
 	// only need the scheduling delay, not its full runtime.
 	highExec := npu.NewExec(core, high.Program, high.ID)

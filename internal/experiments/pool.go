@@ -20,8 +20,8 @@ import (
 // observable state — timing resources, pipelines, L2 contents,
 // scratchpad payload/tags/valid/parity, mesh locks/inboxes/dead links,
 // backing pages, ECC damage, core domains, installed translators, and
-// counters — while keeping only capacity (allocated slices, maps,
-// resolved counter handles) warm. TestPooledDifferential pins the
+// counters — while keeping only capacity (allocated slices and maps)
+// warm. TestPooledDifferential pins the
 // contract; TestPoolNoSecretLeak pins the isolation half (no prior
 // tenant's bytes survive a recycle).
 //

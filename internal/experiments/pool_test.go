@@ -43,11 +43,10 @@ func renderCells(t *testing.T, models []workload.Workload) []byte {
 }
 
 // writeStats renders the non-zero counters. Zero-valued entries are
-// skipped deliberately: Stats.Reset keeps counter handles warm (that
-// is the pooling win), so a recycled SoC's snapshot may carry extra
-// never-incremented keys a fresh boot lacks. Every consumer reads
-// counter values by name, so metric equality modulo zero entries is
-// the contract.
+// skipped deliberately: Stats.Reset keeps ad-hoc (non-canonical) names,
+// so a recycled SoC's snapshot may carry never-incremented keys a fresh
+// boot lacks. Every consumer reads counter values by name, so metric
+// equality modulo zero entries is the contract.
 func writeStats(buf *bytes.Buffer, stats map[string]int64) {
 	keys := make([]string, 0, len(stats))
 	for k := range stats {

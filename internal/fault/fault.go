@@ -80,6 +80,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// injectedID is the kind's fault.injected.<kind> counter; sim lists
+// those IDs in Kind order.
+func injectedID(k Kind) sim.CounterID { return sim.IDFaultInjectedDRAMBitFlip + sim.CounterID(k) }
+
 // KindFromString parses the JSON plan spelling of a kind.
 func KindFromString(s string) (Kind, error) {
 	for k, name := range kindNames {
@@ -217,10 +221,8 @@ func (i *Injector) Take(k Kind, now sim.Cycle) (Event, bool) {
 	i.queues[k] = q[1:]
 	i.remaining--
 	i.injected++
-	if i.stats != nil {
-		i.stats.Inc(sim.CtrFaultsInjected)
-		i.stats.Inc(sim.CtrFaultsInjected + "." + k.String())
-	}
+	i.stats.IncID(sim.IDFaultsInjected)
+	i.stats.IncID(injectedID(k))
 	if i.obsRec != nil {
 		// Span from the scheduled cycle to the access that absorbed it —
 		// the injection-to-landing latency of the pull model.

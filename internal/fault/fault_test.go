@@ -9,6 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
+func TestInjectedCounterPerKind(t *testing.T) {
+	for _, k := range Kinds() {
+		if got, want := injectedID(k).String(), sim.CtrFaultsInjected+"."+k.String(); got != want {
+			t.Errorf("kind %s counts into %q, want %q", k, got, want)
+		}
+	}
+}
+
 func TestKindStringRoundTrip(t *testing.T) {
 	for _, k := range Kinds() {
 		got, err := KindFromString(k.String())

@@ -180,10 +180,8 @@ func (g *Guarder) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, erro
 	if req.Bytes == 0 {
 		return xlate.Result{}, fmt.Errorf("guarder: empty request")
 	}
-	if g.stats != nil {
-		g.stats.Inc(sim.CtrGuarderChecks)
-		g.stats.Inc(sim.CtrTranslations)
-	}
+	g.stats.IncID(sim.IDGuarderChecks)
+	g.stats.IncID(sim.IDTranslations)
 	var pa mem.PhysAddr
 	found := false
 	for _, tr := range g.trans {
@@ -194,9 +192,7 @@ func (g *Guarder) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, erro
 		}
 	}
 	if !found {
-		if g.stats != nil {
-			g.stats.Inc(sim.CtrGuarderDenied)
-		}
+		g.stats.IncID(sim.IDGuarderDenied)
 		return xlate.Result{}, fmt.Errorf("%w: va %#x +%d", ErrNoTranslation, uint64(req.VA), req.Bytes)
 	}
 	for _, cr := range g.checks {
@@ -204,9 +200,7 @@ func (g *Guarder) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, erro
 			return xlate.Result{PA: pa}, nil
 		}
 	}
-	if g.stats != nil {
-		g.stats.Inc(sim.CtrGuarderDenied)
-	}
+	g.stats.IncID(sim.IDGuarderDenied)
 	return xlate.Result{}, fmt.Errorf("%w: pa %#x +%d need %s world %s",
 		ErrDenied, uint64(pa), req.Bytes, req.Need, req.World)
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/xlate"
 )
 
-func newGuarder(t *testing.T) (*Guarder, tee.Context, *sim.Stats) {
+func newGuarder(t testing.TB) (*Guarder, tee.Context, *sim.Stats) {
 	t.Helper()
 	phys := mem.NewPhysical()
 	machine := tee.NewMachine(phys)
@@ -201,5 +201,19 @@ func TestGuarderNormalWorldNeverReachesSecurePA(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkGuarderTranslate measures one request-level check: a range
+// lookup in the translation registers plus an authority check.
+func BenchmarkGuarderTranslate(b *testing.B) {
+	g, _, _ := newGuarder(b)
+	req := xlate.Request{VA: 0x1_0040, Bytes: 4096, Need: mem.PermRead, World: mem.Normal}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Translate(req, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -53,8 +53,6 @@ type IOMMU struct {
 	stats   *sim.Stats
 	inj     *fault.Injector
 	curTask int
-	// WalkStallCycles accumulates total stall for reporting.
-	WalkStallCycles sim.Cycle
 
 	// Observability: pre-resolved instruments, nil unless AttachObserver
 	// was called.
@@ -116,9 +114,7 @@ func (u *IOMMU) OnContextSwitch(taskID int) {
 	u.curTask = taskID
 	if u.cfg.FlushOnContextSwitch && !first {
 		u.tlb.FlushAll()
-		if u.stats != nil {
-			u.stats.Inc(sim.CtrIOTLBFlushes)
-		}
+		u.stats.IncID(sim.IDIOTLBFlushes)
 	}
 }
 
@@ -145,6 +141,7 @@ func (u *IOMMU) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, error)
 	var stall sim.Cycle
 	var basePA mem.PhysAddr
 	prevPPN := uint64(0)
+	walks := int64(0) // IOTLB misses of this request
 	first := true
 
 	asid := 0
@@ -156,10 +153,10 @@ func (u *IOMMU) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, error)
 		pte, hit := u.tlb.Lookup(asid, va)
 		if !hit {
 			walked, accesses, err := u.table.Walk(va)
-			if u.stats != nil {
-				u.stats.Inc(sim.CtrPageWalks)
-				u.stats.Add(sim.CtrPageWalkCycles, int64(u.cfg.WalkCyclesPerAccess)*int64(accesses))
-			}
+			walks++
+			u.stats.IncID(sim.IDPageWalks)
+			u.stats.IncID(sim.IDIOTLBMisses)
+			u.stats.AddID(sim.IDPageWalkCycles, int64(u.cfg.WalkCyclesPerAccess)*int64(accesses))
 			stall += u.cfg.WalkCyclesPerAccess * sim.Cycle(accesses)
 			if err != nil {
 				return xlate.Result{}, err
@@ -189,21 +186,15 @@ func (u *IOMMU) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, error)
 		}
 	}
 
-	// Energy/count model: the IOTLB is consulted for every memory
-	// packet, not just per page (Fig. 13(b)). The per-page Lookup calls
-	// above already counted once per page; add the remaining packets.
+	// Energy/count model (Fig. 13(b)): the IOTLB is consulted for every
+	// memory packet, not just per page. Each walk is one miss and the
+	// remaining packets hit (packet-aligned requests, as the compiler
+	// emits, never touch more pages than packets).
 	packets := req.Packets()
-	pages := uint64(lastPage-firstPage)/mem.PageSize + 1
-	if packets > pages {
-		u.tlb.Lookups += packets - pages
-		u.tlb.Hits += packets - pages
-	}
-	if u.stats != nil {
-		u.stats.Add(sim.CtrIOTLBLookups, int64(packets))
-		u.stats.Add(sim.CtrTranslations, int64(packets))
-		u.stats.Add(sim.CtrTranslationStall, int64(stall))
-	}
-	u.WalkStallCycles += stall
+	u.stats.AddID(sim.IDIOTLBLookups, int64(packets))
+	u.stats.AddID(sim.IDIOTLBHits, max(int64(packets)-walks, 0))
+	u.stats.AddID(sim.IDTranslations, int64(packets))
+	u.stats.AddID(sim.IDTranslationStall, int64(stall))
 	if stall > 0 && u.obsWalk != nil {
 		u.obsWalk.Observe(int64(stall))
 		u.obsRec.Record(trace.Event{

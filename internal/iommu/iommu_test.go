@@ -320,3 +320,57 @@ func TestIOMMUThrashingSmallTLB(t *testing.T) {
 		t.Fatalf("4-entry TLB stall (%d) not worse than 32-entry (%d)", small, big)
 	}
 }
+
+func TestIOMMUHitMissCounters(t *testing.T) {
+	// A 4-entry TLB over an 8-page working set, requests of one to
+	// three pages, several passes: hits, misses and walks all occur.
+	u, stats := newIOMMU(t, 4)
+	for pass := 0; pass < 3; pass++ {
+		for p := 0; p < 8; p++ {
+			bytes := uint64(p%3+1) * mem.PageSize
+			if _, err := u.Translate(xlate.Request{
+				VA: mem.VirtAddr(0x10000 + p*mem.PageSize), Bytes: bytes,
+				Need: mem.PermRead, World: mem.Normal}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hits, misses := stats.Get(sim.CtrIOTLBHits), stats.Get(sim.CtrIOTLBMisses)
+	lookups, walks := stats.Get(sim.CtrIOTLBLookups), stats.Get(sim.CtrPageWalks)
+	if hits == 0 || misses == 0 {
+		t.Fatalf("hits %d misses %d: want both nonzero", hits, misses)
+	}
+	if misses != walks {
+		t.Errorf("misses %d != pagewalks %d", misses, walks)
+	}
+	if hits+misses != lookups {
+		t.Errorf("hits %d + misses %d != lookups %d", hits, misses, lookups)
+	}
+}
+
+// benchIOMMU translates one-page requests round-robin over `pages`
+// mapped pages through a `entries`-entry TLB.
+func benchIOMMU(b *testing.B, entries, pages int) {
+	stats := sim.NewStats()
+	u := New(DefaultConfig(entries), stats)
+	if err := u.Table().MapRange(0x10000, 0x8001_0000, 64*mem.PageSize, mem.PermRW, false); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := xlate.Request{VA: mem.VirtAddr(0x10000 + (i%pages)*mem.PageSize), Bytes: mem.PageSize,
+			Need: mem.PermRead, World: mem.Normal}
+		if _, err := u.Translate(req, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIOMMUTranslateHit is the warm case: the working set fits
+// the TLB, so every request is a lookup with no walk.
+func BenchmarkIOMMUTranslateHit(b *testing.B) { benchIOMMU(b, 32, 8) }
+
+// BenchmarkIOMMUTranslateWalk is the thrashing case: 16 pages through
+// a 4-entry TLB, so every request walks the page table.
+func BenchmarkIOMMUTranslateWalk(b *testing.B) { benchIOMMU(b, 4, 16) }

@@ -26,6 +26,8 @@ type IOTLB struct {
 	parity  bool
 	stats   *sim.Stats
 
+	// Per-page structure accesses; the per-packet model is in the
+	// iotlb.* counters (IOMMU.Translate).
 	Lookups      uint64
 	Hits         uint64
 	Misses       uint64
@@ -82,9 +84,7 @@ func (t *IOTLB) Lookup(asid int, va mem.VirtAddr) (PTE, bool) {
 			if t.parity && e.parity != entryParity(e.VPN, e.ASID, e.PTE) {
 				e.valid = false
 				t.ParityErrors++
-				if t.stats != nil {
-					t.stats.Inc(sim.CtrIOTLBParityErrors)
-				}
+				t.stats.IncID(sim.IDIOTLBParityErrors)
 				break
 			}
 			e.lastAt = t.tick

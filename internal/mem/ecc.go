@@ -199,17 +199,13 @@ func (m *Physical) Scrub(addr PhysAddr, size uint64) (corrected int, err error) 
 		word, status := ECCDecode(m.ReadU64(w), fw.check)
 		switch status {
 		case ECCDetected:
-			if m.eccStats != nil {
-				m.eccStats.Inc(sim.CtrECCUncorrectable)
-			}
+			m.eccStats.IncID(sim.IDECCUncorrectable)
 			return corrected, &ECCError{Addr: w}
 		case ECCCorrected:
 			m.WriteU64(w, word)
 			delete(m.faults, w)
 			corrected++
-			if m.eccStats != nil {
-				m.eccStats.Inc(sim.CtrECCCorrected)
-			}
+			m.eccStats.IncID(sim.IDECCCorrected)
 		default:
 			// The flips cancelled out; the word is clean again.
 			delete(m.faults, w)

@@ -136,12 +136,8 @@ func (m *Monitor) AttachObserver(o *obs.Observer) {
 
 // call counts one trampoline entry into the monitor.
 func (m *Monitor) call() {
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrMonitorCalls)
-	}
-	if m.obsCalls != nil {
-		m.obsCalls.Inc()
-	}
+	m.stats.IncID(sim.IDMonitorCalls)
+	m.obsCalls.Inc()
 }
 
 // New builds the monitor. It refuses to run on a machine that has not
@@ -415,9 +411,7 @@ func (m *Monitor) Preempt(taskID int) error {
 		return m.reject(fmt.Errorf("monitor: task %d is not loaded", taskID))
 	}
 	m.note(TrPreemptLoaded)
-	if m.obsPreempts != nil {
-		m.obsPreempts.Inc()
-	}
+	m.obsPreempts.Inc()
 	for _, ci := range task.Cores {
 		core, err := m.acc.Core(ci)
 		if err != nil {
@@ -462,12 +456,8 @@ func (m *Monitor) Abort(taskID int) error {
 	if !ok {
 		return m.reject(ErrUnknownTask)
 	}
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrMonitorAborts)
-	}
-	if m.obsAborts != nil {
-		m.obsAborts.Inc()
-	}
+	m.stats.IncID(sim.IDMonitorAborts)
+	m.obsAborts.Inc()
 	if task.Loaded {
 		m.note(TrAbortLoaded)
 	} else {
@@ -606,12 +596,8 @@ func (m *Monitor) ModelBytes(ctx tee.Context, taskID int) ([]byte, error) {
 }
 
 func (m *Monitor) reject(err error) error {
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrMonitorRejected)
-	}
-	if m.obsRejects != nil {
-		m.obsRejects.Inc()
-	}
+	m.stats.IncID(sim.IDMonitorRejected)
+	m.obsRejects.Inc()
 	return err
 }
 

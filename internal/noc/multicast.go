@@ -29,16 +29,12 @@ func (m *Mesh) Multicast(pkt Packet, dsts []Coord, at sim.Cycle) (sim.Cycle, err
 	if m.cfg.Peephole {
 		for _, dst := range dsts {
 			if m.IDSource(dst) != pkt.SrcID {
-				if m.stats != nil {
-					m.stats.Inc(sim.CtrNoCAuthFail)
-				}
+				m.stats.IncID(sim.IDNoCAuthFail)
 				return 0, fmt.Errorf("%w: multicast %v(id=%d) -> %v(id=%d)",
 					ErrAuthFailed, pkt.Src, pkt.SrcID, dst, m.IDSource(dst))
 			}
 		}
-		if m.stats != nil {
-			m.stats.Add(sim.CtrNoCAuthPass, int64(len(dsts)))
-		}
+		m.stats.AddID(sim.IDNoCAuthPass, int64(len(dsts)))
 	}
 	// Build the multicast tree: the union of the XY paths' links,
 	// deduplicated over the dense link index.
@@ -78,10 +74,8 @@ func (m *Mesh) Multicast(pkt Packet, dsts []Coord, at sim.Cycle) (sim.Cycle, err
 		m.links[idx].Claim(start, flitCycles)
 	}
 	done := start + sim.Cycle(maxHops)*m.cfg.RouterDelay + flitCycles
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrNoCPackets)
-		m.stats.Add(sim.CtrNoCFlits, int64(pkt.Flits))
-	}
+	m.stats.IncID(sim.IDNoCPackets)
+	m.stats.AddID(sim.IDNoCFlits, int64(pkt.Flits))
 	if pkt.Payload != nil {
 		for _, dst := range dsts {
 			m.inboxes[dst] = append(m.inboxes[dst], Packet{

@@ -143,8 +143,6 @@ type Mesh struct {
 	links []*sim.Resource // indexed by linkIndex; nil at mesh edges
 	dead  []bool          // permanently failed links, same indexing
 	stats *sim.Stats
-	// Resolved counter handles for the per-packet hot path.
-	ctrPackets, ctrFlits, ctrAuthPass, ctrAuthFail *int64
 	// IDSource reports the current ID state of the core at a node.
 	// The multi-core NPU wires this to its cores; tests may stub it.
 	IDSource func(Coord) spad.DomainID
@@ -199,12 +197,6 @@ func NewMesh(cfg Config, stats *sim.Stats) (*Mesh, error) {
 		locks:    make(map[Coord]*Coord),
 		inboxes:  make(map[Coord][]Packet),
 	}
-	if stats != nil {
-		m.ctrPackets = stats.Counter(sim.CtrNoCPackets)
-		m.ctrFlits = stats.Counter(sim.CtrNoCFlits)
-		m.ctrAuthPass = stats.Counter(sim.CtrNoCAuthPass)
-		m.ctrAuthFail = stats.Counter(sim.CtrNoCAuthFail)
-	}
 	m.links = make([]*sim.Resource, cfg.Width*cfg.Height*numDirs)
 	m.dead = make([]bool, len(m.links))
 	for x := 0; x < cfg.Width; x++ {
@@ -241,8 +233,8 @@ func (m *Mesh) AttachInjector(inj *fault.Injector) { m.inj = inj }
 // Reset power-cycles the mesh for arena-style reuse: link timing
 // resources return to cycle zero, permanently failed links come back
 // up, receive-channel locks and undelivered inbox packets are dropped,
-// and any fault injector is detached. Topology (links, ordering) and
-// resolved counter handles are construction-time state and survive.
+// and any fault injector is detached. Topology (links, ordering) is
+// construction-time state and survives.
 func (m *Mesh) Reset() {
 	for _, l := range m.links {
 		if l != nil {
@@ -299,9 +291,7 @@ func (m *Mesh) FailLink(from, to Coord) {
 	}
 	m.dead[idx] = true
 	m.deadCount++
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrNoCLinksDown)
-	}
+	m.stats.IncID(sim.IDNoCLinksDown)
 }
 
 // DeadLinks reports how many directed links have failed.
@@ -411,9 +401,7 @@ func (m *Mesh) pickRoute(src, dst Coord) ([]Coord, error) {
 	}
 	m.altBuf = alt
 	if m.pathAlive(alt) {
-		if m.stats != nil {
-			m.stats.Inc(sim.CtrNoCReroutes)
-		}
+		m.stats.IncID(sim.IDNoCReroutes)
 		return alt, nil
 	}
 	return nil, fmt.Errorf("%w: %v->%v", ErrLinkDown, src, dst)
@@ -454,9 +442,7 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 	if err != nil {
 		return 0, err
 	}
-	if m.ctrPackets != nil {
-		*m.ctrPackets++
-	}
+	m.stats.IncID(sim.IDNoCPackets)
 	m.obsProf.MaybeSample(at)
 
 	// Channel lock: once a transfer is authenticated, the receive
@@ -470,15 +456,11 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 	if m.cfg.Peephole {
 		dstID := m.IDSource(pkt.Dst)
 		if dstID != pkt.SrcID {
-			if m.ctrAuthFail != nil {
-				*m.ctrAuthFail++
-			}
+			m.stats.IncID(sim.IDNoCAuthFail)
 			return 0, fmt.Errorf("%w: src %v id=%d, dst %v id=%d",
 				ErrAuthFailed, pkt.Src, pkt.SrcID, pkt.Dst, dstID)
 		}
-		if m.ctrAuthPass != nil {
-			*m.ctrAuthPass++
-		}
+		m.stats.IncID(sim.IDNoCAuthPass)
 	}
 
 	hops := len(path) - 1
@@ -501,23 +483,15 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 				start = s
 			}
 		}
-		if m.obsStall != nil {
-			m.obsStall.Observe(int64(start - reqStart))
-		}
+		m.obsStall.Observe(int64(start - reqStart))
 		done := start + sim.Cycle(hops)*m.cfg.RouterDelay + flitCycles
-		if m.ctrFlits != nil {
-			*m.ctrFlits += int64(pkt.Flits)
-		}
+		m.stats.AddID(sim.IDNoCFlits, int64(pkt.Flits))
 
 		if _, ok := m.inj.Take(fault.NoCDrop, done); ok {
-			if m.stats != nil {
-				m.stats.Inc(sim.CtrNoCDrops)
-			}
+			m.stats.IncID(sim.IDNoCDrops)
 			if m.cfg.CRC && attempt < m.cfg.RetryLimit {
 				// Sender's ACK watchdog fires and retransmits.
-				if m.stats != nil {
-					m.stats.Inc(sim.CtrNoCRetries)
-				}
+				m.stats.IncID(sim.IDNoCRetries)
 				start = done + m.cfg.NackTimeout
 				continue
 			}
@@ -536,14 +510,10 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 				m.recordSend(pkt, at, done)
 				return done, nil
 			}
-			if m.stats != nil {
-				m.stats.Inc(sim.CtrNoCCRCFail)
-			}
+			m.stats.IncID(sim.IDNoCCRCFail)
 			if attempt < m.cfg.RetryLimit {
 				// Receive engine NACKs; sender retransmits.
-				if m.stats != nil {
-					m.stats.Inc(sim.CtrNoCRetries)
-				}
+				m.stats.IncID(sim.IDNoCRetries)
 				start = done + m.cfg.NackTimeout
 				continue
 			}

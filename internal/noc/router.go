@@ -77,15 +77,11 @@ func (r *RouterController) BeginSend(dst Coord, at sim.Cycle) (sim.Cycle, error)
 		dstID := r.mesh.IDSource(dst)
 		if srcID != dstID {
 			r.state = StateIdle
-			if r.mesh.stats != nil {
-				r.mesh.stats.Inc(sim.CtrNoCAuthFail)
-			}
+			r.mesh.stats.IncID(sim.IDNoCAuthFail)
 			return 0, fmt.Errorf("%w: handshake %v(id=%d) -> %v(id=%d)",
 				ErrAuthFailed, r.node, srcID, dst, dstID)
 		}
-		if r.mesh.stats != nil {
-			r.mesh.stats.Inc(sim.CtrNoCAuthPass)
-		}
+		r.mesh.stats.IncID(sim.IDNoCAuthPass)
 	}
 	// Verified: lock the channel so no other core can use it.
 	if lockSrc, locked := r.mesh.locks[dst]; locked && *lockSrc != r.node {

@@ -164,13 +164,9 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 			})
 			pipe.computeFree = end
 			e.ComputeBusy += op.Cycles
-			if e.core.stats != nil {
-				e.core.stats.Add(sim.CtrComputeMACs, op.MACs)
-				e.core.stats.Add(sim.CtrComputeCycles, int64(op.Cycles))
-			}
-			if e.core.obsTile != nil {
-				e.core.obsTile.Observe(int64(op.Cycles))
-			}
+			e.core.stats.AddID(sim.IDComputeMACs, op.MACs)
+			e.core.stats.AddID(sim.IDComputeCycles, int64(op.Cycles))
+			e.core.obsTile.Observe(int64(op.Cycles))
 			pipe.prevComputeEnd[0] = pipe.prevComputeEnd[1]
 			pipe.prevComputeEnd[1] = end
 			if e.core.inj.Enabled() {
@@ -179,9 +175,7 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 				// whichever core is executing when it comes due.
 				e.core.inj.Observe(end)
 				if _, ok := e.core.inj.Take(fault.CoreHang, end); ok {
-					if e.core.stats != nil {
-						e.core.stats.Inc(sim.CtrCoreHangs)
-					}
+					e.core.stats.IncID(sim.IDCoreHangs)
 					wd := e.core.cfg.HangWatchdog
 					if wd <= 0 {
 						wd = DefaultHangWatchdog

@@ -11,15 +11,24 @@ import (
 // Counter is a monotonically increasing metric. The handle is stable
 // for the lifetime of its Registry (Reset zeroes it in place), so hot
 // components resolve it once and increment through the pointer —
-// zero allocations, no map lookup, in the style of sim.Stats.Counter.
+// zero allocations, no map lookup. Inc and Add are no-ops on a nil
+// handle, so an unattached component needs no guard.
 // Counters are single-writer: one simulated SoC owns its instruments.
 type Counter struct{ v int64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v++ }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v++
+	}
+}
 
 // Add adds delta.
-func (c *Counter) Add(delta int64) { c.v += delta }
+func (c *Counter) Add(delta int64) {
+	if c != nil {
+		c.v += delta
+	}
+}
 
 // Value reads the counter.
 func (c *Counter) Value() int64 { return c.v }
@@ -48,8 +57,11 @@ type Histogram struct {
 
 // Observe records one value: it lands in the first bucket whose upper
 // bound is >= v (boundary values belong to the bounded bucket, the
-// Prometheus "le" convention).
+// Prometheus "le" convention). A no-op on a nil handle.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -182,11 +194,12 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // AttachStats includes a sim.Stats counter sink in this registry's
-// exports and snapshots. Many sinks may be attached (one per
-// experiment cell); same-named counters sum across sinks. The sink's
-// cells are read at export time, so attach-then-run works — but reads
-// must happen after the owning SoC's run completes (the experiment
-// runner's WaitGroup provides that ordering).
+// exports and snapshots; once one is attached, every canonical counter
+// name is listed, at zero if no sink counted it. Many sinks may be
+// attached (one per experiment cell); same-named counters sum across
+// sinks. The sink's cells are read at export time, so attach-then-run
+// works — but reads must happen after the owning SoC's run completes
+// (the experiment runner's WaitGroup provides that ordering).
 func (r *Registry) AttachStats(s *sim.Stats) {
 	if s == nil {
 		return
@@ -248,6 +261,13 @@ func (r *Registry) counterTotals() map[string]int64 {
 	out := make(map[string]int64, len(r.counters))
 	for name, c := range r.counters {
 		out[name] += c.v
+	}
+	if len(r.stats) > 0 {
+		// An attached sink covers the whole canonical namespace, so
+		// exports list every hardware counter, zeros included.
+		for _, name := range sim.CanonicalCounters() {
+			out[name] += 0
+		}
 	}
 	for _, s := range r.stats {
 		for name, v := range s.Snapshot() {

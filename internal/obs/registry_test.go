@@ -190,3 +190,30 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
+
+func TestAttachStatsListsCanonicalNamespace(t *testing.T) {
+	r := NewRegistry()
+	if len(r.Snapshot()) != 0 {
+		t.Fatalf("empty registry snapshot = %v", r.Snapshot())
+	}
+	s := sim.NewStats()
+	s.IncID(sim.IDDMARequests)
+	r.AttachStats(s)
+	snap := r.Snapshot()
+	for _, name := range sim.CanonicalCounters() {
+		if _, ok := snap[name]; !ok {
+			t.Errorf("canonical counter %s missing from export", name)
+		}
+	}
+	if snap[sim.CtrDMARequests] != 1 || len(snap) != len(sim.CanonicalCounters()) {
+		t.Fatalf("snapshot has %d keys, dma.requests=%d", len(snap), snap[sim.CtrDMARequests])
+	}
+}
+
+func TestNilInstrumentsAreNoOps(t *testing.T) {
+	var c *Counter
+	var h *Histogram
+	c.Inc()
+	c.Add(3)
+	h.Observe(7)
+}

@@ -441,12 +441,6 @@ func (s *Scheduler) AttachObserver(o *obs.Observer) {
 	s.obsLatency = scope.Histogram("latency.cycles", obs.DefaultCycleBuckets())
 }
 
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
 // Submit validates and queues one request. Validation is the
 // front-door admission control: unknown models, duplicate IDs,
 // oversized sealed blobs, and secure requests on a monitor-less system
@@ -851,7 +845,7 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 			if rs.req.Priority > j.prio {
 				j.prio = rs.req.Priority
 			}
-			inc(s.obsBatch)
+			s.obsBatch.Inc()
 			if j.decode {
 				// Continuous batching: the member joins a possibly
 				// running batch; the round-robin cursor reaches it at
@@ -1218,7 +1212,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 	if resumed {
 		ev = "resume"
 	}
-	inc(s.obsDispatch)
+	s.obsDispatch.Inc()
 	s.decide(start, c.id, ev, m, fmt.Sprintf("prio=%d", j.prio))
 }
 
@@ -1274,10 +1268,8 @@ func (s *Scheduler) advance(c *coreState) {
 	if m.ex.Done() {
 		m.finish = end
 		m.terminal, m.completed = true, true
-		inc(s.obsComplete)
-		if s.obsLatency != nil {
-			s.obsLatency.Observe(int64(end - m.req.Arrival))
-		}
+		s.obsComplete.Inc()
+		s.obsLatency.Observe(int64(end - m.req.Arrival))
 		s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
 		j.idx++
 		// Drop any queued batch-mates that can no longer finish in time.
@@ -1363,10 +1355,8 @@ func (s *Scheduler) advanceDecode(c *coreState, j *job) {
 			// the batch, freeing its seat for a joiner.
 			m.finish = end
 			m.terminal, m.completed = true, true
-			inc(s.obsComplete)
-			if s.obsLatency != nil {
-				s.obsLatency.Observe(int64(end - m.req.Arrival))
-			}
+			s.obsComplete.Inc()
+			s.obsLatency.Observe(int64(end - m.req.Arrival))
 			s.decide(end, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.tok))
 			s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
 		}
@@ -1397,7 +1387,7 @@ func (s *Scheduler) missDeadlineDecode(c *coreState, j *job, at sim.Cycle) {
 	m.finish = at
 	m.ex = nil
 	m.errMsg = "sched: deadline missed"
-	inc(s.obsDeadlineMiss)
+	s.obsDeadlineMiss.Inc()
 	s.decide(at, c.id, "deadline_miss", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
 	s.decide(at, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.tok))
 	j.rotate()
@@ -1431,10 +1421,8 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 	j := c.cur
 	m := j.cur()
 	m.preempts++
-	inc(s.obsPreempt)
-	if s.deps.Stats != nil {
-		s.deps.Stats.Inc(sim.CtrCtxSwitches)
-	}
+	s.obsPreempt.Inc()
+	s.deps.Stats.IncID(sim.IDCtxSwitches)
 	if j.secure {
 		rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnPreempt, Args: []uint64{uint64(j.monID)}})
 		if rep.Err != nil {
@@ -1546,7 +1534,7 @@ func (s *Scheduler) abortMember(m *reqState, at sim.Cycle, core int, retryable b
 	m.retryable = retryable
 	m.finish = at
 	m.errMsg = ErrTaskAborted.Error()
-	inc(s.obsAbort)
+	s.obsAbort.Inc()
 	s.decide(at, core, "abort", m, "")
 }
 
@@ -1599,7 +1587,7 @@ func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle, cause error) {
 		}
 		m.retryAt = retryAt
 		s.retryQ = append(s.retryQ, m)
-		inc(s.obsRetry)
+		s.obsRetry.Inc()
 		s.decide(at, c.id, "retry", m,
 			fmt.Sprintf("attempt=%d backoff-until=%d checkpoint=%d", m.attempts, retryAt, m.checkpoint))
 	}
@@ -1632,7 +1620,7 @@ func (s *Scheduler) missDeadline(c *coreState, j *job, at sim.Cycle) {
 	m.finish = at
 	m.ex = nil
 	m.errMsg = "sched: deadline missed"
-	inc(s.obsDeadlineMiss)
+	s.obsDeadlineMiss.Inc()
 	s.decide(at, c.id, "deadline_miss", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
 	j.idx++
 	for !j.done() {
@@ -1653,14 +1641,14 @@ func (s *Scheduler) drop(m *reqState, at sim.Cycle, core int) {
 	m.terminal, m.dropped = true, true
 	m.finish = at
 	m.errMsg = "sched: deadline missed"
-	inc(s.obsDeadlineMiss)
+	s.obsDeadlineMiss.Inc()
 	s.decide(at, core, "drop", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
 }
 
 func (s *Scheduler) reject(rs *reqState, at sim.Cycle, msg string) {
 	rs.terminal, rs.rejected = true, true
 	rs.errMsg = msg
-	inc(s.obsReject)
+	s.obsReject.Inc()
 	s.decide(at, -1, "reject", rs, msg)
 }
 

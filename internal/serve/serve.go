@@ -411,9 +411,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The tenant's queue bound is hit and the incoming request does
 		// not outrank anything queued: shed the newcomer.
 		s.shed++
-		if s.obsShed != nil {
-			s.obsShed.Inc()
-		}
+		s.obsShed.Inc()
 		writeBackpressure(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case errors.Is(err, sched.ErrTenantQuarantined):
@@ -457,11 +455,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.aborted += rep.Aborted
 	s.shed += rep.Shed
 	s.recovered += rep.Recovered
-	if s.obsShed != nil {
-		for i := 0; i < rep.Shed; i++ {
-			s.obsShed.Inc()
-		}
-	}
+	s.obsShed.Add(int64(rep.Shed))
 	for _, res := range rep.Results {
 		s.results[res.ID] = res
 		delete(s.pending, res.ID)

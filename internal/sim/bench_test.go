@@ -67,3 +67,14 @@ func BenchmarkResourceClaim(b *testing.B) {
 		r.Claim(Cycle(i), 4)
 	}
 }
+
+// BenchmarkStatsAddID measures the typed-ID increment every component
+// uses on the simulation path: an array add, no lookup.
+func BenchmarkStatsAddID(b *testing.B) {
+	b.ReportAllocs()
+	s := NewStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AddID(IDNoCFlits, 1)
+	}
+}

@@ -201,9 +201,9 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Pending() int { return len(e.events) + (len(e.sameCycle) - e.sameHead) }
 
 // Reset returns the engine to cycle 0 with an empty queue and zeroed
-// stats, keeping the event heap's and FIFO's backing storage (and the
-// stats map's resolved counter handles) so a pooled SoC's next run
-// schedules into warm memory instead of regrowing it.
+// stats, keeping the event heap's and FIFO's backing storage so a
+// pooled SoC's next run schedules into warm memory instead of
+// regrowing it.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0

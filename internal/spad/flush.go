@@ -55,10 +55,8 @@ func FlushCost(liveBytes uint64, bandwidthBytesPerCycle uint64, dmaLatency sim.C
 		bandwidthBytesPerCycle = 1
 	}
 	cycles := sim.Cycle(liveBytes/bandwidthBytesPerCycle) + dmaLatency
-	if stats != nil {
-		// Save now + restore later: 2x total traffic.
-		stats.Add(sim.CtrSpadFlushBytes, int64(2*liveBytes))
-	}
+	// Save now + restore later: 2x total traffic.
+	stats.AddID(sim.IDSpadFlushBytes, int64(2*liveBytes))
 	return cycles
 }
 

@@ -196,9 +196,7 @@ func (s *Scratchpad) Read(core DomainID, line int, dst []byte) error {
 	if err := s.checkDomain(core); err != nil {
 		return err
 	}
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadReads)
-	}
+	s.stats.IncID(sim.IDSpadReads)
 	if s.cfg.Isolated {
 		switch s.cfg.Kind {
 		case Exclusive:
@@ -234,9 +232,7 @@ func (s *Scratchpad) Write(core DomainID, line int, src []byte) error {
 	if err := s.checkDomain(core); err != nil {
 		return err
 	}
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadWrites)
-	}
+	s.stats.IncID(sim.IDSpadWrites)
 	if s.cfg.Isolated && s.cfg.Kind == Shared && s.ids[line] != core && core == NonSecure {
 		return s.deny("write", core, line)
 	}
@@ -289,9 +285,7 @@ func (s *Scratchpad) VerifyParity(line int) error {
 	if lineParity(s.lineSlice(line)) == s.parity[line] {
 		return nil
 	}
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadParityErrors)
-	}
+	s.stats.IncID(sim.IDSpadParityErrors)
 	return fmt.Errorf("%w: %s line %d", ErrParity, s.cfg.Kind, line)
 }
 
@@ -304,9 +298,7 @@ func lineParity(b []byte) uint8 {
 }
 
 func (s *Scratchpad) deny(op string, core DomainID, line int) error {
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadDenied)
-	}
+	s.stats.IncID(sim.IDSpadDenied)
 	return fmt.Errorf("%w: %s of %s line %d (tag %d) by core domain %d",
 		ErrIsolation, op, s.cfg.Kind, line, s.ids[line], core)
 }

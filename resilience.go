@@ -149,8 +149,8 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 				Utilization: npu.Utilization(prog, now, s.cfg.NPU.SystolicDim),
 				MACs:        prog.TotalMACs,
 			}
-			if s.inj.Injected() > injectedBefore && s.stats != nil {
-				s.stats.Inc(sim.CtrRecoveredFaults)
+			if s.inj.Injected() > injectedBefore {
+				s.stats.IncID(sim.IDRecoveredFaults)
 			}
 			return rep, nil
 		}
@@ -173,16 +173,12 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 		if consecutive >= maxRestarts {
 			rep.Aborted = true
 			rep.Cycles = now // cycles burned before giving up
-			if s.stats != nil {
-				s.stats.Inc(sim.CtrUnrecoveredFaults)
-			}
+			s.stats.IncID(sim.IDUnrecoveredFaults)
 			return rep, ErrTaskAborted
 		}
 		consecutive++
 		rep.Restarts++
-		if s.stats != nil {
-			s.stats.Inc(sim.CtrTaskRestarts)
-		}
+		s.stats.IncID(sim.IDTaskRestarts)
 		rec.BeginEpoch(fmt.Sprintf("restart-%d", rep.Restarts), now)
 
 		// A core that hangs twice in a row is unhealthy: remap. The

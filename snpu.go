@@ -169,8 +169,8 @@ func (s *System) Stats() *sim.Stats { return s.stats }
 // driver's allocator and task IDs, the monitor's keys/tasks/queue/
 // allocator (with the platform's static checking windows reprogrammed
 // exactly as New does), fault injectors, observability attachments,
-// and all counters. Capacity (slices, maps, resolved counter handles)
-// stays warm; that reuse is the entire point.
+// and all counters. Capacity (slices and maps) stays warm; that reuse
+// is the entire point.
 //
 // The contract, pinned by the fresh-vs-pooled differential tests: any
 // run on a Reset system is byte-identical — cycles, decision logs,
@@ -202,17 +202,13 @@ func (s *System) Reset() error {
 // per-component instruments (NoC stall histograms, DMA latency, IOTLB
 // walks, Monitor call/abort/reject counts), executors record spans on
 // the observer's timeline, and profiling hooks sample link occupancy
-// and channel backlog on a fixed cycle cadence. Every canonical
-// hardware counter is materialized up front so a metrics dump always
-// covers the full component namespace, zeros included.
+// and channel backlog on a fixed cycle cadence. Metrics dumps cover
+// the full canonical counter namespace, zeros included.
 //
 // Observability is passive — enabling it does not change a single
 // simulated cycle — and stays attached for the system's lifetime.
 func (s *System) EnableObservability(cfg obs.Config) *obs.Observer {
 	o := obs.NewObserver(cfg)
-	for _, name := range sim.CanonicalCounters() {
-		s.stats.Counter(name)
-	}
 	o.Registry().AttachStats(s.stats)
 	s.acc.AttachObserver(o)
 	if s.mon != nil {
