@@ -28,7 +28,7 @@ import (
 // untested surface was added to a trust-critical package.
 var floors = map[string]float64{
 	"repro/internal/graph":    80,
-	"repro/internal/sched":    75,
+	"repro/internal/sched":    85,
 	"repro/internal/serve":    80,
 	"repro/internal/monitor":  80,
 	"repro/internal/spad":     90,

@@ -129,7 +129,7 @@ func TestDriverChurnNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := workload.ByName("yololite")
+	w, err := workload.Lookup("yololite")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestGuarderIOMMUTranslationEquivalence(t *testing.T) {
 // the same DMA byte counts — access control must never change WHAT
 // moves, only when.
 func TestMechanismsMoveIdenticalBytes(t *testing.T) {
-	w, err := workload.ByName("yololite")
+	w, err := workload.Lookup("yololite")
 	if err != nil {
 		t.Fatal(err)
 	}

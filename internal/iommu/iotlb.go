@@ -24,15 +24,7 @@ type IOTLB struct {
 	entries []IOTLBEntry
 	tick    uint64
 	parity  bool
-	stats   *sim.Stats
-
-	// Per-page structure accesses; the per-packet model is in the
-	// iotlb.* counters (IOMMU.Translate).
-	Lookups      uint64
-	Hits         uint64
-	Misses       uint64
-	Flushes      uint64
-	ParityErrors uint64
+	stats   *sim.Stats // parity errors; the IOMMU counts the rest
 }
 
 // NewIOTLB returns a TLB with n entries.
@@ -76,23 +68,19 @@ func entryParity(vpn uint64, asid int, pte PTE) uint8 {
 // — the caller re-walks the page table, which is the recovery.
 func (t *IOTLB) Lookup(asid int, va mem.VirtAddr) (PTE, bool) {
 	t.tick++
-	t.Lookups++
 	vpn := uint64(va) / mem.PageSize
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.VPN == vpn && e.ASID == asid {
 			if t.parity && e.parity != entryParity(e.VPN, e.ASID, e.PTE) {
 				e.valid = false
-				t.ParityErrors++
 				t.stats.IncID(sim.IDIOTLBParityErrors)
 				break
 			}
 			e.lastAt = t.tick
-			t.Hits++
 			return e.PTE, true
 		}
 	}
-	t.Misses++
 	return PTE{}, false
 }
 
@@ -154,7 +142,6 @@ func (t *IOTLB) FlushAll() {
 	for i := range t.entries {
 		t.entries[i].valid = false
 	}
-	t.Flushes++
 }
 
 // Valid reports how many entries currently hold translations.

@@ -93,12 +93,14 @@ func TestDifferentialDeterminism(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	hashes := trackScheduleHashes(t)
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sealed := sealedSet(t, seed)
 			ref := runTrace(t, seed, 1, sealed)
+			hashes.record(t, ref)
 			// Sanity: the reference episode did real work, so the
 			// comparison below is not vacuous.
 			if ref.Completed == 0 || ref.Makespan == 0 {
@@ -199,12 +201,14 @@ func TestDecodeDifferentialDeterminism(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	hashes := trackScheduleHashes(t)
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sealed := sealedSet(t, seed)
 			ref := runDecodeTrace(t, seed, 1, nil, sealed)
+			hashes.record(t, ref)
 			if ref.Tokens == 0 || ref.Completed == 0 {
 				t.Fatalf("reference decode episode did nothing: %+v", ref)
 			}

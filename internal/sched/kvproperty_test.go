@@ -41,16 +41,17 @@ func TestKVIsolationRandomSchedules(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
+	hashes := trackScheduleHashes(t)
 	for i := 0; i < n; i++ {
 		seed := int64(i + 1)
 		t.Run(fmt.Sprintf("schedule-%03d", i), func(t *testing.T) {
 			t.Parallel()
-			runKVPropertySchedule(t, seed)
+			hashes.record(t, runKVPropertySchedule(t, seed))
 		})
 	}
 }
 
-func runKVPropertySchedule(t *testing.T, seed int64) {
+func runKVPropertySchedule(t *testing.T, seed int64) *sched.Report {
 	rng := rand.New(rand.NewSource(seed))
 	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
@@ -156,6 +157,7 @@ func runKVPropertySchedule(t *testing.T, seed int64) {
 	if probe.plants == 0 {
 		t.Fatalf("schedule allocated no KV windows — property vacuous\n%s", rep.DecisionLog())
 	}
+	return rep
 }
 
 // kvPlant is one planted sentinel: the window it lives in and the

@@ -56,7 +56,7 @@ func measOf(t *testing.T, model string) [32]byte {
 	if m, ok := measBy[model]; ok {
 		return m
 	}
-	w, err := workload.ByNameExtended(model)
+	w, err := workload.Lookup(model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +74,17 @@ func TestPropertyRandomSchedules(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
+	hashes := trackScheduleHashes(t)
 	for i := 0; i < n; i++ {
 		seed := int64(i + 1)
 		t.Run(fmt.Sprintf("schedule-%03d", i), func(t *testing.T) {
 			t.Parallel()
-			runPropertySchedule(t, seed)
+			hashes.record(t, runPropertySchedule(t, seed))
 		})
 	}
 }
 
-func runPropertySchedule(t *testing.T, seed int64) {
+func runPropertySchedule(t *testing.T, seed int64) *sched.Report {
 	rng := rand.New(rand.NewSource(seed))
 	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
@@ -205,6 +206,7 @@ func runPropertySchedule(t *testing.T, seed int64) {
 			t.Fatal("report verified with a stale nonce")
 		}
 	}
+	return rep
 }
 
 // isolationProbe plants a secret into the scratchpad of every secure

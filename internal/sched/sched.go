@@ -199,19 +199,19 @@ type Deps struct {
 
 // reqState tracks one request through its lifetime.
 type reqState struct {
-	req  Request
-	prog *npu.Program
-	// minExec is the compute-cycle floor (the program's peak-rate lower
+	req Request
+	// progs holds one compiled program per pass: the single pass of a
+	// conventional request, or a decode session's prefill followed by
+	// one pass per step. progs[0] is what FnSubmit verifies and
+	// measures. pass is the cursor (passes completed so far).
+	progs []*npu.Program
+	pass  int
+	// minExec is the compute-cycle floor (the passes' peak-rate lower
 	// bound) used for deadline feasibility — it never overestimates, so
 	// feasibility rejection is sound.
 	minExec sim.Cycle
-
-	// progs / tok / tokenEnds drive a decode request: progs[0] is the
-	// prefill, progs[1+t] decode step t (prog aliases progs[0] so the
-	// FnSubmit/measurement path is shared); tok is the pass cursor (==
-	// tokens emitted so far) and tokenEnds the per-token retire cycles.
-	progs     []*npu.Program
-	tok       int
+	// tokenEnds records a decode request's per-token retire cycles (one
+	// per completed pass); empty for conventional requests.
 	tokenEnds []sim.Cycle
 
 	ex      *npu.Exec
@@ -245,9 +245,12 @@ type reqState struct {
 
 // job is the dispatch unit: a single non-secure request, or a batch of
 // same-tenant same-model secure requests sharing one monitor task.
+// Members take turns one pass at a time: cursor round-robins over the
+// live members, so one-pass members run serially in join order while
+// decode members interleave token by token.
 type job struct {
 	members []*reqState
-	idx     int
+	cursor  int
 	secure  bool
 	monID   int // monitor task id (secure)
 	prio    Priority
@@ -261,87 +264,43 @@ type job struct {
 	mapped bool
 	coreID int // affine core once started (-1 before)
 
-	// decode marks a continuous decode batch: members interleave
-	// round-robin (rr) one token-pass at a time instead of running
-	// serially through idx, and requests join/leave at token boundaries.
-	decode bool
-	rr     int
-	// kvLines is the resident KV window claimed for this job's monitor
-	// task (0 until the first load's FnKVAlloc).
+	// kvLines is the resident KV window claimed for a decode job's
+	// monitor task (0 until the first load's FnKVAlloc).
 	kvLines int
 }
 
 func (j *job) lead() *reqState { return j.members[0] }
 
-// cur returns the member at the execution cursor: the serial cursor
-// for conventional jobs, the round-robin cursor for decode batches.
-func (j *job) cur() *reqState {
-	if j.decode {
-		return j.members[j.rr]
-	}
-	return j.members[j.idx]
-}
+// decode is the batch's decode spec; nil for a conventional batch.
+func (j *job) decode() *workload.DecodeSpec { return j.lead().req.Decode }
 
-func (j *job) done() bool {
-	if j.decode {
-		for _, m := range j.members {
-			if !m.terminal {
-				return false
-			}
-		}
-		return true
-	}
-	return j.idx >= len(j.members)
-}
+func (j *job) cur() *reqState { return j.members[j.cursor] }
+
+func (j *job) done() bool { return j.remaining() == 0 }
 
 // remaining counts members still owed work.
 func (j *job) remaining() int {
-	if j.decode {
-		n := 0
-		for _, m := range j.members {
-			if !m.terminal {
-				n++
-			}
+	n := 0
+	for _, m := range j.members {
+		if !m.terminal {
+			n++
 		}
-		return n
 	}
-	return len(j.members) - j.idx
+	return n
 }
 
-// rotate advances the decode round-robin cursor to the next live
-// member (continuous batching: one token per member per turn).
+// rotate advances the cursor to the next live member.
 func (j *job) rotate() {
-	if !j.decode || j.done() {
-		return
-	}
-	for i := 0; i < len(j.members); i++ {
-		j.rr = (j.rr + 1) % len(j.members)
-		if !j.members[j.rr].terminal {
+	for range j.members {
+		j.cursor = (j.cursor + 1) % len(j.members)
+		if !j.cur().terminal {
 			return
 		}
 	}
 }
 
-// fixCursor re-points the decode cursor at a live member after drops.
-func (j *job) fixCursor() {
-	if j.decode && !j.done() && j.members[j.rr].terminal {
-		j.rotate()
-	}
-}
-
-// curProg is the program of the member's current pass: progs[tok] for
-// decode requests (clamped to the last pass), the single program
-// otherwise.
-func (m *reqState) curProg() *npu.Program {
-	if len(m.progs) > 0 {
-		i := m.tok
-		if i >= len(m.progs) {
-			i = len(m.progs) - 1
-		}
-		return m.progs[i]
-	}
-	return m.prog
-}
+// curProg is the program of the member's current pass.
+func (m *reqState) curProg() *npu.Program { return m.progs[m.pass] }
 
 // coreState is one owned core's scheduling state.
 type coreState struct {
@@ -713,7 +672,7 @@ func (rs *reqState) workload() (workload.Workload, error) {
 	return workload.Lookup(rs.req.Model)
 }
 
-// prepare compiles every request's program on a worker pool.
+// prepare compiles every request's passes on a worker pool.
 // Compilation is pure — the pool width cannot change any result — and
 // per-request layouts keep VA spans non-aliasing (secure programs use
 // the monitor's fixed layout; the per-core slot-0 window disambiguates).
@@ -733,43 +692,37 @@ func (s *Scheduler) prepare() {
 		if rs.terminal { // shed at submit time: nothing to compile
 			return
 		}
+		// One workload per pass: a decode session's prefill and steps,
+		// or the single custom or registry model.
+		var passes []workload.Workload
 		if rs.req.Decode != nil {
-			// One program per pass: the prefill plus every decode step.
-			// CompileCached makes the repeated step shapes cheap across
-			// same-spec requests.
-			passes := rs.req.Decode.Passes()
-			rs.progs = make([]*npu.Program, len(passes))
-			var total sim.Cycle
-			for i, p := range passes {
-				prog, _, err := npu.CompileCached(p, s.deps.Cfg, 0, npu.DefaultLayout)
-				if err != nil {
-					rs.errMsg = err.Error()
-					rs.progs = nil
-					return
-				}
-				rs.progs[i] = prog
-				total += sim.Cycle(prog.IdealComputeCycles)
+			passes = rs.req.Decode.Passes()
+		} else {
+			wl, err := rs.workload()
+			if err != nil {
+				rs.errMsg = err.Error()
+				return
 			}
-			rs.prog = rs.progs[0]
-			rs.minExec = total
-			return
-		}
-		wl, err := rs.workload()
-		if err != nil {
-			rs.errMsg = err.Error()
-			return
+			passes = []workload.Workload{wl}
 		}
 		layout := npu.DefaultLayout
 		if !rs.req.Secure {
 			layout = driver.LayoutFor(rs.req.ID)
 		}
-		prog, _, err := npu.CompileCached(wl, s.deps.Cfg, 0, layout)
-		if err != nil {
-			rs.errMsg = err.Error()
-			return
+		// CompileCached makes the repeated decode-step shapes cheap
+		// across same-spec requests.
+		progs := make([]*npu.Program, len(passes))
+		var floor sim.Cycle
+		for i, p := range passes {
+			prog, _, err := npu.CompileCached(p, s.deps.Cfg, 0, layout)
+			if err != nil {
+				rs.errMsg = err.Error()
+				return
+			}
+			progs[i] = prog
+			floor += sim.Cycle(prog.IdealComputeCycles)
 		}
-		rs.prog = prog
-		rs.minExec = sim.Cycle(prog.IdealComputeCycles)
+		rs.progs, rs.minExec = progs, floor
 	}
 	if w <= 1 {
 		for _, rs := range s.all {
@@ -797,7 +750,7 @@ func (s *Scheduler) prepare() {
 	ordered := append([]*reqState(nil), s.all...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].req.ID < ordered[j].req.ID })
 	for _, rs := range ordered {
-		if rs.prog == nil && !rs.terminal {
+		if rs.progs == nil && !rs.terminal {
 			s.reject(rs, rs.req.Arrival, rs.errMsg)
 		}
 	}
@@ -846,7 +799,7 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 				j.prio = rs.req.Priority
 			}
 			s.obsBatch.Inc()
-			if j.decode {
+			if rs.req.Decode != nil {
 				// Continuous batching: the member joins a possibly
 				// running batch; the round-robin cursor reaches it at
 				// the next token boundary.
@@ -859,8 +812,8 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 		rep := s.deps.Monitor.Dispatch(monitor.Call{
 			Func:     monitor.FnSubmit,
 			Shared:   rs.req.Sealed,
-			Program:  rs.prog,
-			Expected: rs.prog.Measurement(),
+			Program:  rs.progs[0],
+			Expected: rs.progs[0].Measurement(),
 			KeyID:    rs.req.KeyID,
 		})
 		if rep.Err != nil {
@@ -876,7 +829,6 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 			members: []*reqState{rs}, secure: true, monID: int(rep.Value),
 			prio: rs.req.Priority, arrival: rs.req.Arrival, leadID: rs.req.ID,
 			loadCost: s.submitCost(rs), coreID: -1,
-			decode: rs.req.Decode != nil,
 		}
 		s.ready = append(s.ready, j)
 		s.openJobs = append(s.openJobs, j)
@@ -884,7 +836,7 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 		return
 	}
 	wl, _ := rs.workload()
-	task, err := s.deps.Driver.SubmitProgram(wl, rs.prog, false)
+	task, err := s.deps.Driver.SubmitProgram(wl, rs.progs[0], false)
 	if err != nil {
 		if errors.Is(err, mem.ErrNoSpace) {
 			s.waitlist = append(s.waitlist, rs)
@@ -918,23 +870,20 @@ func (s *Scheduler) joinableBatch(rs *reqState) *job {
 		// A continuous decode batch frees a seat whenever a member
 		// leaves, so the bound is on live members; a conventional batch
 		// never shrinks.
-		if j.decode {
-			if j.remaining() >= s.cfg.MaxBatch {
-				continue
-			}
-		} else if len(j.members) >= s.cfg.MaxBatch {
+		spec, seats := j.decode(), len(j.members)
+		if spec != nil {
+			seats = j.remaining()
+		}
+		if seats >= s.cfg.MaxBatch {
 			continue
 		}
-		if j.decode != (rs.req.Decode != nil) {
+		if (spec == nil) != (rs.req.Decode == nil) || (spec != nil && *spec != *rs.req.Decode) {
 			continue
 		}
 		lead := j.lead()
-		if j.decode && *lead.req.Decode != *rs.req.Decode {
-			continue
-		}
 		if lead.req.Tenant == rs.req.Tenant && lead.req.Model == rs.req.Model &&
 			lead.req.KeyID == rs.req.KeyID &&
-			lead.prog.SourceDigest == rs.prog.SourceDigest {
+			lead.progs[0].SourceDigest == rs.progs[0].SourceDigest {
 			return j
 		}
 	}
@@ -1049,27 +998,23 @@ func (s *Scheduler) dispatchOn(c *coreState, clock sim.Cycle) {
 		if j == nil {
 			return
 		}
-		// Drop members that can no longer meet their finish deadline.
-		if j.decode {
+		// Drop members that can no longer meet their finish deadline:
+		// every expired member of a decode batch, only the head of a
+		// conventional batch's line.
+		if j.decode() != nil {
 			for _, m := range j.members {
 				if !m.terminal && s.deadlineExpired(m, start) {
 					s.drop(m, start, c.id)
 				}
 			}
-			j.fixCursor()
-		} else {
-			for !j.done() {
-				m := j.cur()
-				if s.deadlineExpired(m, start) {
-					s.drop(m, start, c.id)
-					j.idx++
-					continue
-				}
-				break
+			if !j.done() && j.cur().terminal {
+				j.rotate()
 			}
+		} else {
+			s.dropExpiredHead(c, j, start)
 		}
 		if j.done() {
-			s.finishJob(c, j, start, fromResume)
+			s.teardownJob(c, j, start, monitor.FnUnload)
 			continue
 		}
 		s.startJob(c, j, start, fromResume)
@@ -1138,7 +1083,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 		if rep.Err != nil {
 			// Load of a verified task on a healthy core should not fail;
 			// fail the whole job closed if it does.
-			s.abortJob(c, j, start, rep.Err)
+			s.abortJob(c, j, start, false)
 			return
 		}
 		if j.loadCost > 0 {
@@ -1148,17 +1093,13 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 		if resumed {
 			// Restore the checkpointed accumulator context that the
 			// mandatory preemption flush saved.
-			cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			start += cost
-			s.flushCycles += cost
+			start += s.flushLive(m)
 		}
-		if j.decode && j.kvLines == 0 {
+		if spec := j.decode(); spec != nil && j.kvLines == 0 {
 			// First placement of a decode batch: claim a resident KV
 			// window from the monitor's scratchpad partition. The claim
 			// streams the (zeroed) backing store through once — the cost
 			// model is the same DMA walk a flush pays.
-			spec := j.lead().req.Decode
 			lineBytes := s.deps.Cfg.SpadLineBytes
 			lines := int((spec.KVBytes() + int64(lineBytes) - 1) / int64(lineBytes))
 			if maxL := s.deps.Cfg.KVSpadLines() / 4; lines > maxL {
@@ -1172,14 +1113,11 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 				Args: []uint64{uint64(j.monID), uint64(c.id), uint64(lines), uint64(spec.KVBytes())},
 			})
 			if rep.Err != nil {
-				s.abortJob(c, j, start, rep.Err)
+				s.abortJob(c, j, start, false)
 				return
 			}
 			j.kvLines = lines
-			cost := spad.FlushCost(uint64(lines*lineBytes), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			start += cost
-			s.flushCycles += cost
+			start += s.flush(uint64(lines * lineBytes))
 			s.decide(start, c.id, "kv_alloc", m, fmt.Sprintf("lines=%d domain=%d", lines, rep.Value))
 		}
 	} else if s.deps.Monitor != nil && !j.mapped {
@@ -1192,7 +1130,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 			}
 			c.slots[j.slot] = true
 		}
-		lo, hi := m.prog.VASpan()
+		lo, hi := m.curProg().VASpan()
 		vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
 		size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
 		rep := s.deps.Monitor.Dispatch(monitor.Call{
@@ -1200,7 +1138,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 			Args: []uint64{uint64(c.id), uint64(j.slot), uint64(vbase), uint64(m.task.Chunk), size},
 		})
 		if rep.Err != nil {
-			s.abortJob(c, j, start, rep.Err)
+			s.abortJob(c, j, start, false)
 			return
 		}
 		j.mapped = true
@@ -1216,30 +1154,27 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 	s.decide(start, c.id, ev, m, fmt.Sprintf("prio=%d", j.prio))
 }
 
-// advance runs c's current member for one tile slice and handles
-// completion, faults, and boundary preemption.
+// advance runs one tile slice of the current member's current pass on
+// core c. The slice that completes a pass ends the member's turn (for
+// a decode member, one token out); the member retires after its last
+// pass. Mid-pass, a slice ends in a fault, a deadline cut, or a
+// boundary preemption check.
 func (s *Scheduler) advance(c *coreState) {
 	j := c.cur
-	if j.decode {
-		s.advanceDecode(c, j)
-		return
-	}
 	m := j.cur()
 	if m.ex == nil {
-		m.ex = npu.NewExec(c.core, m.prog, m.req.ID+10000)
+		m.ex = npu.NewExec(c.core, m.curProg(), m.req.ID+10000)
 		if !m.started {
 			m.started = true
 			m.start = c.freeAt
 		}
 		m.core = c.id
 		if m.checkpoint > 0 {
-			// Retried member: restart from the last completed layer
-			// boundary and pay the checkpoint-restore flush.
+			// Retried member: restart the interrupted pass from its last
+			// completed layer boundary and pay the checkpoint-restore
+			// flush.
 			m.ex.SkipToLayer(m.checkpoint)
-			cost := spad.FlushCost(npu.FlushLiveBytes(m.prog), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt += cost
-			s.flushCycles += cost
+			c.freeAt += s.flushLive(m)
 		}
 	}
 	end, err := m.ex.RunUntil(c.freeAt, npu.BoundaryTile)
@@ -1248,7 +1183,7 @@ func (s *Scheduler) advance(c *coreState) {
 		if errors.As(err, &hang) {
 			c.freeAt = hang.Detected
 		}
-		s.faultJob(c, j, c.freeAt, err)
+		s.abortJob(c, j, c.freeAt, true)
 		return
 	}
 	c.freeAt = end
@@ -1261,30 +1196,26 @@ func (s *Scheduler) advance(c *coreState) {
 		// Deterministic deadline-miss cut at the tile boundary — the
 		// slice that crossed the deadline is the last one this member
 		// gets, whether or not it happened to finish.
-		s.missDeadline(c, j, end)
+		s.cutDeadline(c, j, end)
 		return
 	}
 
 	if m.ex.Done() {
-		m.finish = end
-		m.terminal, m.completed = true, true
-		s.obsComplete.Inc()
-		s.obsLatency.Observe(int64(end - m.req.Arrival))
-		s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
-		j.idx++
-		// Drop any queued batch-mates that can no longer finish in time.
-		for !j.done() {
-			next := j.cur()
-			if s.deadlineExpired(next, end) {
-				s.drop(next, end, c.id)
-				j.idx++
-				continue
-			}
-			break
+		m.ex, m.checkpoint = nil, 0
+		m.pass++
+		if m.req.Decode != nil {
+			m.tokenEnds = append(m.tokenEnds, end)
+			s.decide(end, c.id, "token", m, fmt.Sprintf("tok=%d/%d", m.pass, len(m.progs)))
 		}
-		if j.done() {
-			s.finishJob(c, j, end, false)
+		if m.pass == len(m.progs) {
+			m.finish = end
+			m.terminal, m.completed = true, true
+			s.obsComplete.Inc()
+			s.obsLatency.Observe(int64(end - m.req.Arrival))
+			s.leave(c, m, end)
+			s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
 		}
+		s.endTurn(c, j)
 		return
 	}
 
@@ -1295,93 +1226,16 @@ func (s *Scheduler) advance(c *coreState) {
 	}
 }
 
-// advanceDecode runs one tile slice of the continuous decode batch on
-// core c. Each member's current pass (prefill, then one per decode
-// step) runs tile-by-tile exactly as a plain workload does; completing
-// a pass emits one token and is the *token boundary* at which the
-// round-robin cursor rotates to the next live member, joiners admitted
-// mid-run become eligible, and finished members leave the batch. The
-// member's resident KV window (claimed in startJob) is untouched by
-// all of this — only job teardown scrubs it.
-func (s *Scheduler) advanceDecode(c *coreState, j *job) {
-	m := j.cur()
-	if m.ex == nil {
-		m.ex = npu.NewExec(c.core, m.curProg(), m.req.ID+10000)
-		if !m.started {
-			m.started = true
-			m.start = c.freeAt
-		}
-		m.core = c.id
-		if m.checkpoint > 0 {
-			// Retried member: restart the interrupted pass from its last
-			// layer boundary; the flush models re-deriving the KV state
-			// the abort scrubbed.
-			m.ex.SkipToLayer(m.checkpoint)
-			cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt += cost
-			s.flushCycles += cost
-		}
-	}
-	end, err := m.ex.RunUntil(c.freeAt, npu.BoundaryTile)
-	if err != nil {
-		var hang *npu.HangError
-		if errors.As(err, &hang) {
-			c.freeAt = hang.Detected
-		}
-		s.faultJob(c, j, c.freeAt, err)
-		return
-	}
-	c.freeAt = end
-	if cl := m.ex.CurrentLayer(); cl > m.checkpoint {
-		m.checkpoint = cl
-	}
-	s.admitUpTo(end)
-
-	if m.req.Deadline > 0 && end > m.req.Deadline {
-		s.missDeadlineDecode(c, j, end)
-		return
-	}
-
-	if m.ex.Done() {
-		// Pass complete: one token out.
-		m.ex = nil
-		m.checkpoint = 0
-		m.tok++
-		m.tokenEnds = append(m.tokenEnds, end)
-		s.decide(end, c.id, "token", m, fmt.Sprintf("tok=%d/%d", m.tok, len(m.progs)))
-		if m.tok >= len(m.progs) {
-			// Last step's token was the member's final output: it leaves
-			// the batch, freeing its seat for a joiner.
-			m.finish = end
-			m.terminal, m.completed = true, true
-			s.obsComplete.Inc()
-			s.obsLatency.Observe(int64(end - m.req.Arrival))
-			s.decide(end, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.tok))
-			s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
-		}
-		j.rotate()
-		if j.done() {
-			s.finishJob(c, j, end, false)
-		}
-		return
-	}
-
-	if s.preemptorWaiting(c, j.prio) {
-		s.preempt(c, end)
-	}
-}
-
-// missDeadlineDecode cuts one decode member at the tile boundary that
-// crossed its deadline. The member leaves the batch; its batch-mates
-// keep decoding and the shared KV window stays resident for them.
-func (s *Scheduler) missDeadlineDecode(c *coreState, j *job, at sim.Cycle) {
+// cutDeadline cuts c's running member at the tile boundary that
+// crossed its finish deadline. The cut is a policy decision, but its
+// isolation consequence is not negotiable: a secure member's live
+// accumulator state is flushed (§IV-B) before the core is reused. The
+// job's remaining batch-mates keep the core (and a decode batch's
+// shared KV window stays resident for them).
+func (s *Scheduler) cutDeadline(c *coreState, j *job, at sim.Cycle) {
 	m := j.cur()
 	if j.secure {
-		cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-			s.deps.Cfg.DRAMLatency, s.deps.Stats)
-		c.freeAt = at + cost
-		s.flushCycles += cost
+		c.freeAt = at + s.flushLive(m)
 	}
 	m.terminal, m.dropped = true, true
 	m.finish = at
@@ -1389,11 +1243,54 @@ func (s *Scheduler) missDeadlineDecode(c *coreState, j *job, at sim.Cycle) {
 	m.errMsg = "sched: deadline missed"
 	s.obsDeadlineMiss.Inc()
 	s.decide(at, c.id, "deadline_miss", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
-	s.decide(at, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.tok))
-	j.rotate()
-	if j.done() {
-		s.finishJob(c, j, c.freeAt, false)
+	s.leave(c, m, at)
+	s.endTurn(c, j)
+}
+
+// leave logs a retired decode member leaving its batch, which frees
+// its seat for a joiner.
+func (s *Scheduler) leave(c *coreState, m *reqState, at sim.Cycle) {
+	if m.req.Decode != nil {
+		s.decide(at, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.pass))
 	}
+}
+
+// endTurn ends the current member's turn at c.freeAt: the cursor moves
+// to the next live member (members admitted mid-run become eligible
+// here), a conventional batch drops the expired members now at the
+// head of its line, and the job is torn down once no member is owed
+// work.
+func (s *Scheduler) endTurn(c *coreState, j *job) {
+	j.rotate()
+	if j.decode() == nil {
+		s.dropExpiredHead(c, j, c.freeAt)
+	}
+	if j.done() {
+		s.teardownJob(c, j, c.freeAt, monitor.FnUnload)
+	}
+}
+
+// dropExpiredHead drops members at the head of j's line that can no
+// longer meet their deadline when started at `at`.
+func (s *Scheduler) dropExpiredHead(c *coreState, j *job, at sim.Cycle) {
+	for !j.done() && s.deadlineExpired(j.cur(), at) {
+		s.drop(j.cur(), at, c.id)
+		j.rotate()
+	}
+}
+
+// flush charges one §IV-B scratchpad walk of `bytes` (save, restore or
+// scrub) to the episode and returns its cycle cost.
+func (s *Scheduler) flush(bytes uint64) sim.Cycle {
+	cost := spad.FlushCost(bytes, s.deps.Cfg.DRAMBytesPerCycle, s.deps.Cfg.DRAMLatency, s.deps.Stats)
+	s.flushCycles += cost
+	return cost
+}
+
+// flushLive charges the flush of m's live accumulator context for its
+// current pass.
+func (s *Scheduler) flushLive(m *reqState) sim.Cycle {
+	return s.flush(npu.FlushLiveBytes(m.curProg()))
 }
 
 // preemptorWaiting reports a strictly higher-priority job core c could
@@ -1426,56 +1323,15 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 	if j.secure {
 		rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnPreempt, Args: []uint64{uint64(j.monID)}})
 		if rep.Err != nil {
-			s.abortJob(c, j, at, rep.Err)
+			s.abortJob(c, j, at, false)
 			return
 		}
-		cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-			s.deps.Cfg.DRAMLatency, s.deps.Stats)
-		c.freeAt = at + cost
-		s.flushCycles += cost
+		c.freeAt = at + s.flushLive(m)
 		s.invalidateWindows(c)
 	}
 	s.decide(at, c.id, "preempt", m, fmt.Sprintf("prio=%d", j.prio))
 	c.resume = append(c.resume, j)
 	c.cur = nil
-}
-
-// finishJob tears the job's residency down after its last member.
-func (s *Scheduler) finishJob(c *coreState, j *job, at sim.Cycle, wasResumed bool) {
-	if j.secure {
-		s.closeBatch(j)
-		if j.decode && j.kvLines > 0 {
-			// §IV-B flush contract: the batch's resident KV window is
-			// scrubbed with the task. FnUnload below does the actual
-			// ResetSecure+zero; this pays its streaming cost.
-			cost := spad.FlushCost(uint64(j.kvLines*s.deps.Cfg.SpadLineBytes),
-				s.deps.Cfg.DRAMBytesPerCycle, s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt = at + cost
-			s.flushCycles += cost
-			s.decide(at, c.id, "kv_scrub", j.lead(), fmt.Sprintf("lines=%d", j.kvLines))
-			j.kvLines = 0
-		}
-		if rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(j.monID)}}); rep.Err == nil {
-			s.invalidateWindows(c)
-		}
-		s.memFreed = true
-	} else {
-		for _, m := range j.members {
-			if m.task != nil {
-				_ = s.deps.Driver.Release(m.task)
-				m.task = nil
-			}
-		}
-		if j.slot > 0 {
-			c.slots[j.slot] = false
-			j.slot = 0
-		}
-		s.memFreed = true
-	}
-	if c.cur == j {
-		c.cur = nil
-	}
-	_ = wasResumed
 }
 
 // invalidateWindows records that the monitor's ClearTask wiped every
@@ -1489,28 +1345,30 @@ func (s *Scheduler) invalidateWindows(c *coreState) {
 	}
 }
 
-// teardownJob scrubs a failing job's residency: the monitor aborts and
-// zeroes the secure task fail-closed; non-secure members release their
-// DMA chunk and translation-window slot.
-func (s *Scheduler) teardownJob(c *coreState, j *job, at sim.Cycle) {
+// teardownJob releases j's residency on c, once, whether the job ran
+// out of members (fn = FnUnload) or failed closed (fn = FnAbort, sent
+// only while the monitor still holds the task). A secure job's resident
+// KV window is scrubbed with its task (§IV-B flush contract): the
+// monitor call does the actual ResetSecure+zero, this pays the
+// streaming cost of walking it. Non-secure members release their DMA
+// chunk and translation-window slot.
+func (s *Scheduler) teardownJob(c *coreState, j *job, at sim.Cycle, fn monitor.FuncID) {
 	if j.secure {
 		s.closeBatch(j)
-		if j.decode && j.kvLines > 0 {
-			// Fail-closed KV scrub: FnAbort wipes the window; the abort
-			// path still pays the streaming cost of walking it.
-			cost := spad.FlushCost(uint64(j.kvLines*s.deps.Cfg.SpadLineBytes),
-				s.deps.Cfg.DRAMBytesPerCycle, s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt = at + cost
-			s.flushCycles += cost
+		if j.kvLines > 0 {
+			c.freeAt = at + s.flush(uint64(j.kvLines*s.deps.Cfg.SpadLineBytes))
 			s.decide(at, c.id, "kv_scrub", j.lead(), fmt.Sprintf("lines=%d", j.kvLines))
 			j.kvLines = 0
 		}
-		task, err := s.deps.Monitor.Task(j.monID)
-		if err == nil && task != nil {
-			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: []uint64{uint64(j.monID)}})
+		call := monitor.Call{Func: fn, Args: []uint64{uint64(j.monID)}}
+		if fn == monitor.FnAbort {
+			if _, err := s.deps.Monitor.Task(j.monID); err == nil {
+				_ = s.deps.Monitor.Dispatch(call)
+				s.invalidateWindows(c)
+			}
+		} else if s.deps.Monitor.Dispatch(call).Err == nil {
 			s.invalidateWindows(c)
 		}
-		s.memFreed = true
 	} else {
 		for _, m := range j.members {
 			if m.task != nil {
@@ -1518,11 +1376,14 @@ func (s *Scheduler) teardownJob(c *coreState, j *job, at sim.Cycle) {
 				m.task = nil
 			}
 		}
-		if j.slot > 0 && j.slot < len(c.slots) {
+		if j.slot > 0 {
 			c.slots[j.slot] = false
 			j.slot = 0
 		}
-		s.memFreed = true
+	}
+	s.memFreed = true
+	if c.cur == j {
+		c.cur = nil
 	}
 }
 
@@ -1538,44 +1399,28 @@ func (s *Scheduler) abortMember(m *reqState, at sim.Cycle, core int, retryable b
 	s.decide(at, core, "abort", m, "")
 }
 
-// abortJob is the fail-closed path for monitor-call failures: the
-// monitor scrubs and destroys the secure task; every unfinished member
-// surfaces only the opaque ErrTaskAborted, with no retry — a task the
-// monitor refused is not coming back.
-func (s *Scheduler) abortJob(c *coreState, j *job, at sim.Cycle, cause error) {
-	s.teardownJob(c, j, at)
-	for i := j.idx; i < len(j.members); i++ {
-		if j.members[i].terminal {
-			continue
-		}
-		s.abortMember(j.members[i], at, c.id, false)
-	}
-	_ = cause // never surfaced: the abort is opaque to the untrusted side
-	if c.cur == j {
-		c.cur = nil
-	}
-}
-
-// faultJob handles an execution fault (hang, unrecovered data error).
-// The fail-closed abort is paid exactly as abortJob — scratchpads
-// scrubbed, task destroyed — and then policy decides what the
-// untrusted side does next: secure members with restart budget left
-// re-enter the queue after an exponential backoff and restart from
-// their last completed layer checkpoint through a fresh FnSubmit;
-// everyone else is abandoned with the same opaque error, marked
-// Retryable so clients know a resubmission is worthwhile.
-func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle, cause error) {
-	s.teardownJob(c, j, at)
-	_ = cause // never surfaced — same opacity as abortJob
-	retry := j.secure && s.cfg.MaxRestarts > 0
-	for i := j.idx; i < len(j.members); i++ {
-		m := j.members[i]
+// abortJob is the fail-closed path: the job's residency is torn down
+// (scratchpads scrubbed, the monitor's task destroyed) and every
+// unfinished member surfaces only the opaque ErrTaskAborted — whatever
+// went wrong is never surfaced to the untrusted side. A monitor-call
+// failure (fault = false) is terminal: a task the monitor refused is
+// not coming back. After an execution fault (hang, unrecovered data
+// error) policy decides what happens next: secure members with restart
+// budget left re-enter the queue after an exponential backoff and
+// restart from their last completed layer checkpoint through a fresh
+// FnSubmit; everyone else is abandoned, marked Retryable when secure so
+// clients know a resubmission is worthwhile.
+func (s *Scheduler) abortJob(c *coreState, j *job, at sim.Cycle, fault bool) {
+	s.teardownJob(c, j, at, monitor.FnAbort)
+	retryable := fault && j.secure
+	retry := retryable && s.cfg.MaxRestarts > 0
+	for _, m := range j.members {
 		if m.terminal {
 			continue
 		}
 		m.ex = nil
 		if !retry || m.attempts >= s.cfg.MaxRestarts {
-			s.abortMember(m, at, c.id, j.secure)
+			s.abortMember(m, at, c.id, retryable)
 			continue
 		}
 		m.attempts++
@@ -1598,43 +1443,6 @@ func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle, cause error) {
 		}
 		return x.req.ID < y.req.ID
 	})
-	if c.cur == j {
-		c.cur = nil
-	}
-}
-
-// missDeadline cuts c's running member at the tile boundary that
-// crossed its finish deadline. The cut is a policy decision, but its
-// isolation consequence is not negotiable: a secure member's live
-// accumulator state is flushed (§IV-B) before the core is reused. The
-// job's remaining batch-mates keep the core.
-func (s *Scheduler) missDeadline(c *coreState, j *job, at sim.Cycle) {
-	m := j.cur()
-	if j.secure {
-		cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-			s.deps.Cfg.DRAMLatency, s.deps.Stats)
-		c.freeAt = at + cost
-		s.flushCycles += cost
-	}
-	m.terminal, m.dropped = true, true
-	m.finish = at
-	m.ex = nil
-	m.errMsg = "sched: deadline missed"
-	s.obsDeadlineMiss.Inc()
-	s.decide(at, c.id, "deadline_miss", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
-	j.idx++
-	for !j.done() {
-		next := j.cur()
-		if s.deadlineExpired(next, c.freeAt) {
-			s.drop(next, c.freeAt, c.id)
-			j.idx++
-			continue
-		}
-		break
-	}
-	if j.done() {
-		s.finishJob(c, j, c.freeAt, false)
-	}
 }
 
 func (s *Scheduler) drop(m *reqState, at sim.Cycle, core int) {
@@ -1669,11 +1477,10 @@ func (s *Scheduler) rejectStranded(at sim.Cycle) {
 			s.closeBatch(j)
 			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(j.monID)}})
 		}
-		for i := j.idx; i < len(j.members); i++ {
-			if j.members[i].terminal {
-				continue
+		for _, m := range j.members {
+			if !m.terminal {
+				s.reject(m, at, "no capacity")
 			}
-			s.reject(j.members[i], at, "no capacity")
 		}
 	}
 	s.ready = nil

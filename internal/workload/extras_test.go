@@ -59,13 +59,18 @@ func TestDLRMChains(t *testing.T) {
 	}
 }
 
+// One lookup path resolves the evaluation set and the extras alike.
 func TestByNameExtended(t *testing.T) {
 	for _, name := range []string{"resnet", "vgg16", "gpt-decode", "dlrm"} {
-		if _, err := ByNameExtended(name); err != nil {
+		w, err := Lookup(name)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if w.Name != name {
+			t.Fatalf("%s: got %q", name, w.Name)
+		}
 	}
-	if _, err := ByNameExtended("nope"); err == nil {
+	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("unknown model found")
 	}
 }

@@ -3,9 +3,7 @@ package workload
 import "fmt"
 
 // The model registry: one lookup path over every built-in workload,
-// the paper's §VI evaluation set and the extras alike. Lookup replaces
-// the old two-step ByName/ByNameExtended split; those names remain as
-// thin deprecated wrappers so existing callers keep compiling.
+// the paper's §VI evaluation set and the extras alike.
 
 // registryEntry binds a model name to its constructor. Construction
 // stays lazy — a lookup builds exactly one workload — and the slice
@@ -85,14 +83,3 @@ func (w Workload) Clone() Workload {
 	}
 	return out
 }
-
-// ByName finds a workload by name.
-//
-// Deprecated: use Lookup. ByName is a thin wrapper kept for source
-// compatibility; it resolves extras too, exactly like Lookup.
-func ByName(name string) (Workload, error) { return Lookup(name) }
-
-// ByNameExtended searches the evaluation set and the extras.
-//
-// Deprecated: use Lookup, which it aliases.
-func ByNameExtended(name string) (Workload, error) { return Lookup(name) }

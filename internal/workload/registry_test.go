@@ -23,23 +23,6 @@ func TestLookupFindsEveryModel(t *testing.T) {
 	}
 }
 
-// The deprecated wrappers stay aliases of the one registry: both
-// resolve the extras now (the old ByName six-only behavior is gone by
-// design — a single lookup path).
-func TestDeprecatedWrappersAliasLookup(t *testing.T) {
-	for _, name := range []string{"resnet", "vgg16", "gpt-decode"} {
-		a, errA := ByName(name)
-		b, errB := ByNameExtended(name)
-		c, errC := Lookup(name)
-		if errA != nil || errB != nil || errC != nil {
-			t.Fatalf("%s: %v %v %v", name, errA, errB, errC)
-		}
-		if a.Name != c.Name || b.Name != c.Name {
-			t.Fatalf("%s: wrapper mismatch", name)
-		}
-	}
-}
-
 func TestRegistryOrderAndPartition(t *testing.T) {
 	names := Names()
 	if len(names) != len(All())+len(Extras()) {
