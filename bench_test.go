@@ -378,10 +378,10 @@ func BenchmarkAblationBandwidth(b *testing.B) {
 // and reports each batch point's token throughput and inter-token
 // tail as custom metrics.
 func BenchmarkDecodeServing(b *testing.B) {
-	var res *DecodeBenchResult
+	var res *SweepResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = DecodeBench(1, DecodeBenchConfig{})
+		res, err = DecodeBench(1, SweepConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

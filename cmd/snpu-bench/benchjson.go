@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,6 +40,11 @@ type BenchExperiment struct {
 	// These are the alloc-budget numbers the CI gate tracks.
 	AllocsPerCell     float64 `json:"allocs_per_cell"`
 	AllocBytesPerCell float64 `json:"alloc_bytes_per_cell"`
+	// resilience and decode are the sweep summaries this run of the
+	// experiment produced; newSnapshot lifts them into the snapshot's
+	// own blocks, so they are not part of the per-experiment JSON.
+	resilience *ResilienceSummary
+	decode     *DecodeSummary
 }
 
 // BenchSnapshot is the whole perf snapshot.
@@ -123,14 +129,9 @@ type DecodeSummary struct {
 	BatchedRuns  int     `json:"batched_runs"`
 }
 
-// lastResilience is filled by the resilience experiment spec as it
-// runs; newSnapshot folds it into the written snapshot.
-var lastResilience *ResilienceSummary
-
-// lastDecode is the decode sweep's counterpart.
-var lastDecode *DecodeSummary
-
-func recordDecodeSummary(res *snpu.DecodeBenchResult) {
+// decodeSummary condenses a decode sweep: the widest batch point's
+// headline numbers plus sweep-total batching activity.
+func decodeSummary(res *snpu.SweepResult) *DecodeSummary {
 	sum := &DecodeSummary{Seed: res.Seed}
 	for _, row := range res.Rows {
 		if row.MaxBatch >= sum.MaxBatch {
@@ -142,14 +143,16 @@ func recordDecodeSummary(res *snpu.DecodeBenchResult) {
 		sum.Joins += row.Joins
 		sum.BatchedRuns += row.BatchedRuns
 	}
-	lastDecode = sum
+	return sum
 }
 
-func recordResilienceSummary(res *snpu.ResilienceBenchResult) {
+// resilienceSummary condenses a resilience sweep: worst-cell goodput
+// and p99 plus sweep-total recovery accounting.
+func resilienceSummary(res *snpu.SweepResult) *ResilienceSummary {
 	sum := &ResilienceSummary{Seed: res.Seed, Cells: len(res.Rows)}
 	for i, row := range res.Rows {
-		if i == 0 || row.GoodputPerM < sum.MinGoodputPerM {
-			sum.MinGoodputPerM = row.GoodputPerM
+		if i == 0 || row.ThroughputPerM < sum.MinGoodputPerM {
+			sum.MinGoodputPerM = row.ThroughputPerM
 		}
 		if int64(row.P99) > sum.MaxP99Cycles {
 			sum.MaxP99Cycles = int64(row.P99)
@@ -160,7 +163,7 @@ func recordResilienceSummary(res *snpu.ResilienceBenchResult) {
 		sum.Dropped += row.Dropped
 		sum.Aborted += row.Aborted
 	}
-	lastResilience = sum
+	return sum
 }
 
 // measureExperiment runs one spec, capturing wall time, cell count,
@@ -190,6 +193,10 @@ func measureExperiment(spec expSpec, opts options) (BenchExperiment, []section, 
 		m.AllocsPerCell = float64(m.Allocs) / float64(m.Cells)
 		m.AllocBytesPerCell = float64(m.AllocBytes) / float64(m.Cells)
 	}
+	for _, s := range sections {
+		m.resilience = cmp.Or(s.resilience, m.resilience)
+		m.decode = cmp.Or(s.decode, m.decode)
+	}
 	return m, sections, nil
 }
 
@@ -208,8 +215,6 @@ func newSnapshot(jobs int, measured, seqMeasured []BenchExperiment) BenchSnapsho
 		Experiments:    measured,
 		SeqExperiments: seqMeasured,
 		Speedup:        1,
-		Resilience:     lastResilience,
-		Decode:         lastDecode,
 	}
 	socHits, socMisses := experiments.PoolCounters()
 	sysHits, sysMisses := snpu.SystemPoolCounters()
@@ -218,6 +223,8 @@ func newSnapshot(jobs int, measured, seqMeasured []BenchExperiment) BenchSnapsho
 	snap.CompileCacheHits, snap.CompileCacheMisses = npu.ProgCacheCounters()
 	for _, m := range measured {
 		snap.TotalWallNS += m.WallNS
+		snap.Resilience = cmp.Or(m.resilience, snap.Resilience)
+		snap.Decode = cmp.Or(m.decode, snap.Decode)
 	}
 	var seqTotalNS int64
 	for _, m := range seqMeasured {

@@ -5,7 +5,8 @@
 //
 //	snpu-bench                 # run every experiment
 //	snpu-bench -exp fig13      # one experiment: fig1, table1, fig13,
-//	                           # fig14, fig15, fig16, fig17, fig18, tcb
+//	                           # fig14, fig15, fig16, fig17, fig18, tcb,
+//	                           # ablations, serve, decode, resilience, chaos
 //	snpu-bench -models alexnet,yololite
 //	snpu-bench -markdown       # wrap tables for EXPERIMENTS.md
 //	snpu-bench -exp chaos -seed 7
@@ -13,9 +14,10 @@
 //	snpu-bench -bench-json BENCH_2026-08-06.json -bench-compare
 //	snpu-bench -bench-against BENCH_2026-08-06.json
 //
-// -seed (default 1) drives everything randomized: the chaos
-// experiment's fault plans and its sealing key. The same seed always
-// reproduces byte-identical tables.
+// -seed (default 1) drives everything randomized: the serve, decode
+// and resilience traces, fault plans and sealing keys, and the chaos
+// experiment's. The same seed always reproduces byte-identical tables.
+// -small shrinks the decode and resilience sweeps for CI smoke jobs.
 //
 // -j sets the worker-pool width for experiment cells (default
 // GOMAXPROCS). Every cell boots its own SoC, so any -j produces
@@ -51,9 +53,12 @@ type options struct {
 	metricsDir string
 }
 
-// section is one titled output block.
+// section is one titled output block. A sweep's section also carries
+// the summary block it adds to the bench snapshot.
 type section struct {
 	title, body string
+	resilience  *ResilienceSummary
+	decode      *DecodeSummary
 }
 
 // expSpec names one experiment and produces its output sections.
@@ -74,14 +79,14 @@ func suiteSpecs() []expSpec {
 			if err != nil {
 				return nil, err
 			}
-			return []section{{"Fig. 1 — FLOPS utilization of single inference workloads", res.TableString()}}, nil
+			return []section{{title: "Fig. 1 — FLOPS utilization of single inference workloads", body: res.TableString()}}, nil
 		}},
 		{"table1", func(o options) ([]section, error) {
 			res, err := experiments.Table1(cfg)
 			if err != nil {
 				return nil, err
 			}
-			return []section{{"Table I — scratchpad isolation mechanisms", res.TableString()}}, nil
+			return []section{{title: "Table I — scratchpad isolation mechanisms", body: res.TableString()}}, nil
 		}},
 		{"fig13", func(o options) ([]section, error) {
 			res, err := experiments.Fig13(o.models, cfg)
@@ -89,8 +94,8 @@ func suiteSpecs() []expSpec {
 				return nil, err
 			}
 			return []section{
-				{"Fig. 13(a) — access control: normalized performance", res.TableA()},
-				{"Fig. 13(b) — access control: translation requests", res.TableB()},
+				{title: "Fig. 13(a) — access control: normalized performance", body: res.TableA()},
+				{title: "Fig. 13(b) — access control: translation requests", body: res.TableB()},
 			}, nil
 		}},
 		{"fig14", func(o options) ([]section, error) {
@@ -98,39 +103,39 @@ func suiteSpecs() []expSpec {
 			if err != nil {
 				return nil, err
 			}
-			return []section{{"Fig. 14 — flush granularity overhead (time-shared)", res.TableString()}}, nil
+			return []section{{title: "Fig. 14 — flush granularity overhead (time-shared)", body: res.TableString()}}, nil
 		}},
 		{"fig15", func(o options) ([]section, error) {
 			res, err := experiments.Fig15(cfg)
 			if err != nil {
 				return nil, err
 			}
-			return []section{{"Fig. 15 — static partition vs ID-based dynamic scratchpad", res.TableString()}}, nil
+			return []section{{title: "Fig. 15 — static partition vs ID-based dynamic scratchpad", body: res.TableString()}}, nil
 		}},
 		{"fig16", func(o options) ([]section, error) {
 			res, err := experiments.Fig16(cfg)
 			if err != nil {
 				return nil, err
 			}
-			return []section{{"Fig. 16 — NoC micro-test", res.TableString()}}, nil
+			return []section{{title: "Fig. 16 — NoC micro-test", body: res.TableString()}}, nil
 		}},
 		{"fig17", func(o options) ([]section, error) {
 			res, err := experiments.Fig17(o.models, cfg)
 			if err != nil {
 				return nil, err
 			}
-			return []section{{"Fig. 17 — NoC application test (model-parallel, 2x2 cores)", res.TableString()}}, nil
+			return []section{{title: "Fig. 17 — NoC application test (model-parallel, 2x2 cores)", body: res.TableString()}}, nil
 		}},
 		{"fig18", func(o options) ([]section, error) {
 			res := experiments.Fig18(hwcost.DefaultParams())
-			return []section{{"Fig. 18 — hardware resource cost", res.TableString()}}, nil
+			return []section{{title: "Fig. 18 — hardware resource cost", body: res.TableString()}}, nil
 		}},
 		{"tcb", func(o options) ([]section, error) {
 			res, err := experiments.TCB()
 			if err != nil {
 				return nil, err
 			}
-			return []section{{"TCB size analysis (§VI-F, over this repository)", res.TableString()}}, nil
+			return []section{{title: "TCB size analysis (§VI-F, over this repository)", body: res.TableString()}}, nil
 		}},
 		{"ablations", func(o options) ([]section, error) {
 			sweeps := []func() (*experiments.AblationResult, error){
@@ -151,47 +156,43 @@ func suiteSpecs() []expSpec {
 				if err != nil {
 					return nil, err
 				}
-				out = append(out, section{"Ablation — " + res.Name, res.TableString()})
+				out = append(out, section{title: "Ablation — " + res.Name, body: res.TableString()})
 			}
 			return out, nil
 		}},
 		{"serve", func(o options) ([]section, error) {
-			res, err := snpu.ServeBench(o.seed, snpu.ServeBenchConfig{})
+			res, err := snpu.ServeBench(o.seed, snpu.SweepConfig{})
 			if err != nil {
 				return nil, err
 			}
 			title := fmt.Sprintf("Serve — multi-tenant scheduler load sweep (seed %d; beyond-paper)", res.Seed)
-			return []section{{title, res.TableString()}}, nil
+			return []section{{title: title, body: res.TableString()}}, nil
 		}},
 		{"decode", func(o options) ([]section, error) {
-			dcfg := snpu.DecodeBenchConfig{}
+			var cfg snpu.SweepConfig
 			if o.small {
 				// CI smoke shape: fewer requests, two batch widths.
-				dcfg.Requests = 6
-				dcfg.Batches = []int{1, 2}
+				cfg = snpu.SweepConfig{Requests: 6, Batches: []int{1, 2}}
 			}
-			res, err := snpu.DecodeBench(o.seed, dcfg)
+			res, err := snpu.DecodeBench(o.seed, cfg)
 			if err != nil {
 				return nil, err
 			}
-			recordDecodeSummary(res)
 			title := fmt.Sprintf("Decode — autoregressive serving with KV residency + continuous batching (seed %d; beyond-paper)", res.Seed)
-			return []section{{title, res.TableString()}}, nil
+			return []section{{title: title, body: res.TableString(), decode: decodeSummary(res)}}, nil
 		}},
 		{"resilience", func(o options) ([]section, error) {
-			rcfg := snpu.ResilienceBenchConfig{}
+			var cfg snpu.SweepConfig
 			if o.small {
 				// CI smoke shape: one load, both fault rates, few requests.
-				rcfg.Requests = 12
-				rcfg.LoadsPerM = []float64{0.4}
+				cfg = snpu.SweepConfig{Requests: 12, LoadsPerM: []float64{0.4}}
 			}
-			res, err := snpu.ResilienceBench(o.seed, rcfg)
+			res, err := snpu.ResilienceBench(o.seed, cfg)
 			if err != nil {
 				return nil, err
 			}
-			recordResilienceSummary(res)
 			title := fmt.Sprintf("Resilience — fault-rate x load sweep with retry/shed policy (seed %d; beyond-paper)", res.Seed)
-			return []section{{title, res.TableString()}}, nil
+			return []section{{title: title, body: res.TableString(), resilience: resilienceSummary(res)}}, nil
 		}},
 		{"chaos", func(o options) ([]section, error) {
 			model := "yololite"
@@ -203,7 +204,7 @@ func suiteSpecs() []expSpec {
 				return nil, err
 			}
 			title := fmt.Sprintf("Chaos — seeded fault injection + recovery (%s, seed %d; beyond-paper)", res.Model, res.Seed)
-			return []section{{title, res.TableString()}}, nil
+			return []section{{title: title, body: res.TableString()}}, nil
 		}},
 	}
 }
@@ -259,7 +260,7 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit fenced code blocks with headings")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
 	seed := flag.Int64("seed", 1, "seed for randomized experiments (serve, decode, resilience, chaos); same seed = identical output")
-	small := flag.Bool("small", false, "shrink randomized sweeps (resilience) for CI smoke jobs")
+	small := flag.Bool("small", false, "shrink the decode and resilience sweeps for CI smoke jobs")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "experiment-cell worker pool width; output is identical for any value")
 	benchJSON := flag.String("bench-json", "", "write a perf snapshot (wall-time per experiment, cells/sec, allocs) to this file")
 	benchCompare := flag.Bool("bench-compare", false, "with -bench-json: force the sequential reference pass even at -j 1")

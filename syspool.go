@@ -6,10 +6,10 @@ import (
 	"repro/internal/experiments"
 )
 
-// System pooling for the root-level benchmark sweeps (serve,
-// resilience, chaos): each cell used to boot a full protected SoC —
-// regions, boot chain, NPU, guarders, monitor — per load point, and
-// that churn is what the GC turned into negative parallel scaling.
+// System pooling for the root-level sweeps (sweep.go's one harness for
+// serve, resilience and decode, and chaos): each cell used to boot a
+// full protected SoC — regions, boot chain, NPU, guarders, monitor — per
+// point, and that churn is what the GC turned into negative scaling.
 // Released systems are scrubbed by System.Reset and reused by the next
 // cell with the same Config.
 //

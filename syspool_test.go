@@ -24,7 +24,7 @@ func renderSystemScenario(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 
-	res, err := ServeBench(3, ServeBenchConfig{Requests: 12, LoadsPerM: []float64{0.2}})
+	res, err := ServeBench(3, SweepConfig{Requests: 12, LoadsPerM: []float64{0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
