@@ -22,7 +22,7 @@ import (
 // (one package at a time; the root TestSweepGolden merges into the same
 // file) and review the diff.
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the summary entries of testdata/sweep_tables.golden")
+var updateGolden = flag.Bool("update-golden", false, "rewrite this package's entries of testdata/sweep_tables.golden and testdata/metrics_exports.golden")
 
 var sweepGoldenPath = filepath.Join("..", "..", "testdata", "sweep_tables.golden")
 
