@@ -24,9 +24,8 @@ const metricsOverheadLimitPct = 2.0
 
 // writeExperimentMetrics aggregates the counter sinks of every SoC an
 // experiment booted and writes dir/<name>.prom and dir/<name>.json.
-// Each dump covers the full canonical counter namespace, zeros
-// included; summing across sinks is commutative, so the files are
-// byte-identical at any -j.
+// Each dump lists every typed counter, zeros included; summing across
+// sinks is commutative, so the files are byte-identical at any -j.
 func writeExperimentMetrics(dir, name string, sinks []*sim.Stats) error {
 	reg := obs.NewRegistry()
 	for _, s := range sinks {

@@ -97,11 +97,10 @@ type Engine struct {
 
 	// Observability: pre-resolved instruments, nil unless AttachObserver
 	// was called. core labels this engine's spans on the timeline.
-	obsXfer  *obs.Histogram
-	obsRetry *obs.Counter
-	obsRec   *trace.Recorder
-	obsProf  *obs.Profiler
-	core     int
+	obsXfer *obs.Histogram
+	obsRec  *trace.Recorder
+	obsProf *obs.Profiler
+	core    int
 }
 
 // AttachL2 routes this engine's traffic through a shared L2: hits are
@@ -114,18 +113,16 @@ func (e *Engine) AttachInjector(inj *fault.Injector) { e.inj = inj }
 
 // AttachObserver wires the engine into an observability layer: a span
 // per burst, a dma.xfer.cycles histogram of end-to-end request
-// latency, a dma.retry.count counter of watchdog reissues, and a
-// dma.chan.backlog profiling hook sampling how far ahead the shared
+// latency, and a dma.chan.backlog profiling hook sampling how far ahead the shared
 // DRAM channel is booked. core labels this engine's spans. Nil
 // detaches.
 func (e *Engine) AttachObserver(o *obs.Observer, core int) {
 	if o == nil {
-		e.obsXfer, e.obsRetry, e.obsRec, e.obsProf = nil, nil, nil, nil
+		e.obsXfer, e.obsRec, e.obsProf = nil, nil, nil
 		return
 	}
 	e.core = core
 	e.obsXfer = o.Registry().Histogram("dma.xfer.cycles", obs.DefaultCycleBuckets())
-	e.obsRetry = o.Registry().Counter("dma.retry.count")
 	e.obsRec = o.Trace()
 	e.obsProf = o.Profiler()
 	e.obsProf.Register("dma.chan.backlog", func(now sim.Cycle) int64 {
@@ -247,7 +244,6 @@ func (e *Engine) applyStalls(issue sim.Cycle) (sim.Cycle, error) {
 			return 0, ErrStalled
 		}
 		e.stats.IncID(sim.IDDMARetries)
-		e.obsRetry.Inc()
 		issue += backoff
 		if backoff < e.cfg.WatchdogCycles*8 {
 			backoff *= 2

@@ -60,7 +60,7 @@ func TestCollectSoCStatsWindow(t *testing.T) {
 	RecordSoCStats(sim.NewStats())
 	CollectSoCStats(true)
 	s := sim.NewStats()
-	*s.Counter("x") = 1
+	s.IncID(sim.IDDMARequests)
 	RecordSoCStats(s)
 	RecordSoCStats(nil) // no-op
 	sinks := DrainSoCStats()

@@ -42,17 +42,12 @@ func renderCells(t *testing.T, models []workload.Workload) []byte {
 	return buf.Bytes()
 }
 
-// writeStats renders the non-zero counters. Zero-valued entries are
-// skipped deliberately: Stats.Reset keeps ad-hoc (non-canonical) names,
-// so a recycled SoC's snapshot may carry never-incremented keys a fresh
-// boot lacks. Every consumer reads counter values by name, so metric
-// equality modulo zero entries is the contract.
+// writeStats renders a counter snapshot (which lists the nonzero
+// counters) sorted by name.
 func writeStats(buf *bytes.Buffer, stats map[string]int64) {
 	keys := make([]string, 0, len(stats))
 	for k := range stats {
-		if stats[k] != 0 {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/npu"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spad"
 	"repro/internal/tee"
@@ -96,10 +95,6 @@ type Monitor struct {
 	// transitions accumulates the state-transition coverage bitmap
 	// (see the Tr* bit constants); read through TransitionBitmap.
 	transitions uint64
-
-	// Observability: pre-resolved counters, nil unless AttachObserver
-	// was called.
-	obsCalls, obsAborts, obsRejects, obsPreempts *obs.Counter
 }
 
 // note sets one transition-coverage bit. Bits only accumulate; the
@@ -118,27 +113,8 @@ func (m *Monitor) note(bit uint) {
 // like exploring a new branch.
 func (m *Monitor) TransitionBitmap() uint64 { return m.transitions }
 
-// AttachObserver wires the monitor into an observability layer:
-// monitor.call.count per trampoline entry, monitor.abort.count per
-// fail-closed teardown, monitor.reject.count per refused request. Nil
-// detaches.
-func (m *Monitor) AttachObserver(o *obs.Observer) {
-	if o == nil {
-		m.obsCalls, m.obsAborts, m.obsRejects, m.obsPreempts = nil, nil, nil, nil
-		return
-	}
-	scope := o.Registry().Scope("monitor")
-	m.obsCalls = scope.Counter("call.count")
-	m.obsAborts = scope.Counter("abort.count")
-	m.obsRejects = scope.Counter("reject.count")
-	m.obsPreempts = scope.Counter("preempt.count")
-}
-
 // call counts one trampoline entry into the monitor.
-func (m *Monitor) call() {
-	m.stats.IncID(sim.IDMonitorCalls)
-	m.obsCalls.Inc()
-}
+func (m *Monitor) call() { m.stats.IncID(sim.IDMonitorCalls) }
 
 // New builds the monitor. It refuses to run on a machine that has not
 // completed secure boot (the boot chain loads and verifies the monitor
@@ -166,8 +142,7 @@ func New(machine *tee.Machine, acc *npu.NPU, guarders map[int]*guarder.Guarder, 
 // task IDs restart at 1, and the transition-coverage bitmap clears.
 // The caller must re-run SetupPlatform afterwards (System.Reset does)
 // so the guarders' static checking windows are reprogrammed exactly as
-// at boot. Observability attachments are construction-scoped and left
-// to the owner.
+// at boot.
 func (m *Monitor) Reset() {
 	clear(m.keys)
 	m.queue = nil
@@ -176,7 +151,6 @@ func (m *Monitor) Reset() {
 	m.nextID = 1
 	m.transitions = 0
 	m.alloc.Reset()
-	m.obsCalls, m.obsAborts, m.obsRejects, m.obsPreempts = nil, nil, nil, nil
 }
 
 // ProvisionKey installs a model-sealing key. In a deployment this
@@ -411,7 +385,7 @@ func (m *Monitor) Preempt(taskID int) error {
 		return m.reject(fmt.Errorf("monitor: task %d is not loaded", taskID))
 	}
 	m.note(TrPreemptLoaded)
-	m.obsPreempts.Inc()
+	m.stats.IncID(sim.IDMonitorPreempts)
 	for _, ci := range task.Cores {
 		core, err := m.acc.Core(ci)
 		if err != nil {
@@ -457,7 +431,6 @@ func (m *Monitor) Abort(taskID int) error {
 		return m.reject(ErrUnknownTask)
 	}
 	m.stats.IncID(sim.IDMonitorAborts)
-	m.obsAborts.Inc()
 	if task.Loaded {
 		m.note(TrAbortLoaded)
 	} else {
@@ -597,7 +570,6 @@ func (m *Monitor) ModelBytes(ctx tee.Context, taskID int) ([]byte, error) {
 
 func (m *Monitor) reject(err error) error {
 	m.stats.IncID(sim.IDMonitorRejected)
-	m.obsRejects.Inc()
 	return err
 }
 

@@ -30,7 +30,7 @@ type world struct {
 	stats    *sim.Stats
 }
 
-func bootWorld(t *testing.T) *world {
+func bootWorld(t testing.TB) *world {
 	t.Helper()
 	stats := sim.NewStats()
 	phys := mem.NewPhysical()
@@ -62,7 +62,7 @@ func bootWorld(t *testing.T) *world {
 	return &world{machine: machine, acc: acc, mon: mon, guarders: guarders, stats: stats}
 }
 
-func testProgram(t *testing.T) *npu.Program {
+func testProgram(t testing.TB) *npu.Program {
 	t.Helper()
 	w := workload.Workload{
 		Name: "sec",

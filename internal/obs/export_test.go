@@ -10,7 +10,9 @@ import (
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("noc.packets").Add(12)
+	s := sim.NewStats()
+	s.AddID(sim.IDNoCPackets, 12)
+	r.AttachStats(s)
 	r.Gauge("noc.link.occupancy").Set(3)
 	h := r.Histogram("dma.xfer.cycles", []int64{1, 4})
 	h.Observe(1)
@@ -43,7 +45,7 @@ func TestWritePrometheusDeterministicAndSorted(t *testing.T) {
 		r := NewRegistry()
 		// Register in scrambled order; export must sort by name.
 		for _, n := range []string{"z.last", "a.first", "m.mid"} {
-			r.Counter(n).Inc()
+			r.Gauge(n).Set(1)
 		}
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
@@ -63,12 +65,13 @@ func TestWritePrometheusDeterministicAndSorted(t *testing.T) {
 
 func TestWriteJSONShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Add(2)
 	r.Gauge("g").Set(-5)
 	r.Histogram("h", []int64{10}).Observe(7)
-	sink := sim.NewStats()
-	*sink.Counter("c") = 3 // same name as the registry counter: sums
-	r.AttachStats(sink)
+	s1, s2 := sim.NewStats(), sim.NewStats()
+	s1.AddID(sim.IDNoCPackets, 2)
+	s2.AddID(sim.IDNoCPackets, 3) // same counter in a second sink: sums
+	r.AttachStats(s1)
+	r.AttachStats(s2)
 
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
@@ -87,8 +90,8 @@ func TestWriteJSONShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &dump); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
 	}
-	if dump.Counters["c"] != 5 {
-		t.Fatalf("counter c = %d, want 5 (registry 2 + sink 3)", dump.Counters["c"])
+	if got := dump.Counters[sim.CtrNoCPackets]; got != 5 {
+		t.Fatalf("counter %s = %d, want 5 (sink 2 + sink 3)", sim.CtrNoCPackets, got)
 	}
 	if dump.Gauges["g"] != -5 {
 		t.Fatalf("gauge g = %d, want -5", dump.Gauges["g"])
@@ -102,9 +105,9 @@ func TestWriteJSONShape(t *testing.T) {
 
 func TestPromNameSanitizes(t *testing.T) {
 	for in, want := range map[string]string{
-		"noc.link.stall_cycles": "noc_link_stall_cycles",
-		"dma-retry.count":       "dma_retry_count",
-		"plain":                 "plain",
+		"noc.link.stall_cycles":    "noc_link_stall_cycles",
+		"fault.injected.dma-stall": "fault_injected_dma_stall",
+		"plain":                    "plain",
 	} {
 		if got := promName(in); got != want {
 			t.Fatalf("promName(%q) = %q, want %q", in, got, want)

@@ -5,10 +5,13 @@
 //
 // It bundles three instruments behind one Observer handle:
 //
-//   - a hierarchical metrics Registry (counters, gauges, cycle-bucketed
-//     histograms) with dotted per-component namespaces such as
-//     noc.link.stall_cycles or monitor.abort.count, exported as
-//     Prometheus text and JSON;
+//   - a hierarchical metrics Registry with dotted per-component
+//     namespaces, exported as Prometheus text and JSON. It owns gauges
+//     and cycle-bucketed histograms (noc.link.stall_cycles,
+//     dma.xfer.cycles); counters are not registry instruments but the
+//     SoC's typed sim.Stats counters (monitor.aborts,
+//     sched.complete.count, ...), which the registry sums by name at
+//     export;
 //   - span-based tracing over internal/trace, unifying the Chrome-trace
 //     timeline with spans for NoC sends, DMA bursts, IOTLB walks, fault
 //     injection, and Monitor checkpoint/restart epochs;
@@ -22,11 +25,11 @@
 // Observer never changes a single simulated cycle — and off by
 // default: an unattached component pays one nil check per event.
 //
-// Concurrency: instruments are single-writer, like sim.Stats — each
-// simulated SoC is single-threaded, and parallel experiment cells own
-// private SoCs. The Registry itself (registration, AttachStats,
-// export) is mutex-guarded so one registry can aggregate many cells
-// running under the -j N experiment runner.
+// Concurrency: gauges and histograms are single-writer, like
+// sim.Stats — each simulated SoC is single-threaded, and parallel
+// experiment cells own private SoCs. The Registry itself
+// (registration, AttachStats, export) is mutex-guarded so one registry
+// can aggregate many cells running under the -j N experiment runner.
 package obs
 
 import (
@@ -68,14 +71,17 @@ type Observer struct {
 	prof *Profiler
 }
 
-// NewObserver builds an enabled observer.
-func NewObserver(cfg Config) *Observer {
+// NewObserver builds an enabled observer over one SoC's counter sink:
+// the registry exports stats, and the profiler counts its samples
+// there.
+func NewObserver(cfg Config, stats *sim.Stats) *Observer {
 	reg := NewRegistry()
+	reg.AttachStats(stats)
 	every := cfg.SampleEvery
 	if every <= 0 {
 		every = DefaultSampleEvery
 	}
-	o := &Observer{reg: reg, prof: NewProfiler(reg, every)}
+	o := &Observer{reg: reg, prof: NewProfiler(reg, stats, every)}
 	if cfg.Spans {
 		cap := cfg.TraceCap
 		if cap == 0 {

@@ -13,13 +13,14 @@ import (
 // event stream, never on the wall clock.
 //
 // Each sampler feeds a gauge named after it (the latest sample) and a
-// histogram named <name>.samples (the distribution over the run).
+// histogram named <name>.samples (the distribution over the run); each
+// sample set counts once in profiler.sample.count.
 type Profiler struct {
 	reg   *Registry
+	stats *sim.Stats
 	every sim.Cycle
 	next  sim.Cycle
 	hooks []hook
-	ticks *Counter
 }
 
 // hook is one registered sampler with its resolved instruments.
@@ -31,12 +32,12 @@ type hook struct {
 }
 
 // NewProfiler builds a profiler sampling every `every` cycles into
-// reg. every must be positive.
-func NewProfiler(reg *Registry, every sim.Cycle) *Profiler {
+// reg, counting sample sets in stats. every must be positive.
+func NewProfiler(reg *Registry, stats *sim.Stats, every sim.Cycle) *Profiler {
 	if every <= 0 {
 		every = DefaultSampleEvery
 	}
-	return &Profiler{reg: reg, every: every, ticks: reg.Counter("profiler.sample.count")}
+	return &Profiler{reg: reg, stats: stats, every: every}
 }
 
 // Register adds a sampler. fn is called with the current simulated
@@ -72,7 +73,7 @@ func (p *Profiler) MaybeSample(now sim.Cycle) {
 		h.last.Set(v)
 		h.hist.Observe(v)
 	}
-	p.ticks.Inc()
+	p.stats.IncID(sim.IDProfilerSamples)
 	// Advance to the next period boundary after now; one sample per
 	// period no matter how many cycles elapsed in between.
 	p.next = (now/p.every + 1) * p.every

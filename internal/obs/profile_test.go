@@ -8,7 +8,9 @@ import (
 
 func TestProfilerCadence(t *testing.T) {
 	r := NewRegistry()
-	p := NewProfiler(r, 100)
+	s := sim.NewStats()
+	r.AttachStats(s)
+	p := NewProfiler(r, s, 100)
 	var depth int64
 	calls := 0
 	p.Register("q.depth", func(now sim.Cycle) int64 { calls++; return depth })
@@ -31,8 +33,8 @@ func TestProfilerCadence(t *testing.T) {
 	if got := r.Histogram("q.depth.samples", DefaultCycleBuckets()).Count(); got != 2 {
 		t.Fatalf("sample histogram count = %d, want 2", got)
 	}
-	if got := r.Snapshot()["profiler.sample.count"]; got != 2 {
-		t.Fatalf("profiler.sample.count = %d, want 2", got)
+	if got := r.Snapshot()[sim.CtrProfilerSamples]; got != 2 {
+		t.Fatalf("%s = %d, want 2", sim.CtrProfilerSamples, got)
 	}
 }
 
@@ -41,7 +43,7 @@ func TestProfilerCadence(t *testing.T) {
 // the same event stream always yields the same samples.
 func TestProfilerSkipsWholePeriods(t *testing.T) {
 	r := NewRegistry()
-	p := NewProfiler(r, 10)
+	p := NewProfiler(r, nil, 10)
 	calls := 0
 	p.Register("x", func(now sim.Cycle) int64 { calls++; return 0 })
 	p.MaybeSample(0)
@@ -55,7 +57,7 @@ func TestProfilerSkipsWholePeriods(t *testing.T) {
 
 func TestProfilerDuplicateRegisterKeepsFirst(t *testing.T) {
 	r := NewRegistry()
-	p := NewProfiler(r, 10)
+	p := NewProfiler(r, nil, 10)
 	p.Register("d", func(now sim.Cycle) int64 { return 1 })
 	p.Register("d", func(now sim.Cycle) int64 { return 2 }) // ignored
 	p.MaybeSample(0)
@@ -81,9 +83,14 @@ func TestObserverNilSafe(t *testing.T) {
 }
 
 func TestNewObserverDefaults(t *testing.T) {
-	o := NewObserver(Config{})
+	s := sim.NewStats()
+	o := NewObserver(Config{}, s)
 	if o.Registry() == nil || o.Profiler() == nil {
 		t.Fatal("default observer missing registry or profiler")
+	}
+	s.IncID(sim.IDMonitorCalls)
+	if got := o.Registry().Snapshot()[sim.CtrMonitorCalls]; got != 1 {
+		t.Fatalf("observer registry does not export its SoC's counters: %s = %d", sim.CtrMonitorCalls, got)
 	}
 	if o.Trace() != nil {
 		t.Fatal("default observer must not record spans (opt-in via Spans)")
@@ -91,7 +98,7 @@ func TestNewObserverDefaults(t *testing.T) {
 	if o.Profiler().Every() != DefaultSampleEvery {
 		t.Fatalf("default cadence = %d, want %d", o.Profiler().Every(), DefaultSampleEvery)
 	}
-	ow := NewObserver(Config{Spans: true, TraceCap: 4})
+	ow := NewObserver(Config{Spans: true, TraceCap: 4}, nil)
 	if ow.Trace() == nil {
 		t.Fatal("Spans: true must enable the recorder")
 	}

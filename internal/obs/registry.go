@@ -2,36 +2,12 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/sim"
 )
-
-// Counter is a monotonically increasing metric. The handle is stable
-// for the lifetime of its Registry (Reset zeroes it in place), so hot
-// components resolve it once and increment through the pointer —
-// zero allocations, no map lookup. Inc and Add are no-ops on a nil
-// handle, so an unattached component needs no guard.
-// Counters are single-writer: one simulated SoC owns its instruments.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds delta.
-func (c *Counter) Add(delta int64) {
-	if c != nil {
-		c.v += delta
-	}
-}
-
-// Value reads the counter.
-func (c *Counter) Value() int64 { return c.v }
 
 // Gauge is a point-in-time value (a queue depth, an occupancy).
 type Gauge struct{ v int64 }
@@ -96,33 +72,38 @@ func DefaultCycleBuckets() []int64 {
 }
 
 // Registry is a hierarchical metric namespace. Names are dotted paths
-// (component.site.metric); Scope carves sub-namespaces. Registration
-// is idempotent — asking for an existing name of the same kind returns
-// the same handle — and kind-checked: reusing a name across kinds (or
-// re-registering a histogram with different bounds) panics, because it
-// is a wiring bug no run should silently tolerate.
+// (component.site.metric); Scope carves sub-namespaces. It owns gauges
+// and histograms; counters live in the attached sim.Stats sinks, and
+// the registry sums them by name at export. Registration is idempotent
+// — asking for an existing name of the same kind returns the same
+// handle — and kind-checked: reusing a name across kinds (a typed
+// counter's included) or re-registering a histogram with different
+// bounds panics, because it is a wiring bug no run should silently
+// tolerate.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	stats    []*sim.Stats
+	mu     sync.Mutex
+	gauges map[string]*Gauge
+	hists  map[string]*Histogram
+	stats  []*sim.Stats
 }
+
+// counterNames is the typed counter namespace every attached sink
+// exports.
+var counterNames = sim.CounterNames()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		gauges: make(map[string]*Gauge),
+		hists:  make(map[string]*Histogram),
 	}
 }
 
-// checkKind panics if name is already registered under another kind.
-// Callers hold r.mu.
+// checkKind panics if name is already taken by a typed counter or by
+// an instrument of another kind. Callers hold r.mu.
 func (r *Registry) checkKind(name, want string) {
-	if _, ok := r.counters[name]; ok && want != "counter" {
-		panic(fmt.Sprintf("obs: %q already registered as a counter, requested as a %s", name, want))
+	if slices.Contains(counterNames, name) {
+		panic(fmt.Sprintf("obs: %q is a typed counter, requested as a %s", name, want))
 	}
 	if _, ok := r.gauges[name]; ok && want != "gauge" {
 		panic(fmt.Sprintf("obs: %q already registered as a gauge, requested as a %s", name, want))
@@ -130,20 +111,6 @@ func (r *Registry) checkKind(name, want string) {
 	if _, ok := r.hists[name]; ok && want != "histogram" {
 		panic(fmt.Sprintf("obs: %q already registered as a histogram, requested as a %s", name, want))
 	}
-}
-
-// Counter returns the stable counter handle for name, creating it at
-// zero on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkKind(name, "counter")
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	return c
 }
 
 // Gauge returns the stable gauge handle for name.
@@ -194,8 +161,8 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // AttachStats includes a sim.Stats counter sink in this registry's
-// exports and snapshots; once one is attached, every canonical counter
-// name is listed, at zero if no sink counted it. Many sinks may be
+// exports and snapshots; once one is attached, every typed counter is
+// listed, at zero if no sink counted it. Many sinks may be
 // attached (one per experiment cell); same-named counters sum across
 // sinks. The sink's cells are read at export time, so attach-then-run
 // works — but reads must happen after the owning SoC's run completes
@@ -210,7 +177,7 @@ func (r *Registry) AttachStats(s *sim.Stats) {
 }
 
 // Scope returns a view of the registry under prefix (no trailing
-// dot): Scope("noc").Counter("send.count") is Counter("noc.send.count").
+// dot): Scope("noc").Gauge("link.occupancy") is Gauge("noc.link.occupancy").
 func (r *Registry) Scope(prefix string) Scope { return Scope{r: r, prefix: prefix + "."} }
 
 // Scope is a prefixed view of a Registry.
@@ -218,9 +185,6 @@ type Scope struct {
 	r      *Registry
 	prefix string
 }
-
-// Counter is Registry.Counter under the scope prefix.
-func (s Scope) Counter(name string) *Counter { return s.r.Counter(s.prefix + name) }
 
 // Gauge is Registry.Gauge under the scope prefix.
 func (s Scope) Gauge(name string) *Gauge { return s.r.Gauge(s.prefix + name) }
@@ -235,15 +199,12 @@ func (s Scope) Scope(prefix string) Scope {
 	return Scope{r: s.r, prefix: s.prefix + prefix + "."}
 }
 
-// Reset zeroes every instrument in place; handles stay valid and read
-// zero afterwards. Attached sim.Stats sinks are NOT reset — they
-// belong to their SoCs.
+// Reset zeroes every gauge and histogram in place; handles stay valid
+// and read zero afterwards. Attached sim.Stats sinks are NOT reset —
+// they belong to their SoCs.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v = 0
-	}
 	for _, g := range r.gauges {
 		g.v = 0
 	}
@@ -255,31 +216,21 @@ func (r *Registry) Reset() {
 	}
 }
 
-// counterTotals merges registry counters with every attached stats
-// sink, summing duplicates. Callers hold r.mu.
+// counterTotals sums every attached sink by counter name; with any
+// sink attached, every typed counter is listed. Callers hold r.mu.
 func (r *Registry) counterTotals() map[string]int64 {
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] += c.v
-	}
-	if len(r.stats) > 0 {
-		// An attached sink covers the whole canonical namespace, so
-		// exports list every hardware counter, zeros included.
-		for _, name := range sim.CanonicalCounters() {
-			out[name] += 0
-		}
-	}
+	out := make(map[string]int64, len(counterNames))
 	for _, s := range r.stats {
-		for name, v := range s.Snapshot() {
-			out[name] += v
+		for _, name := range counterNames {
+			out[name] += s.Get(name)
 		}
 	}
 	return out
 }
 
-// Snapshot returns all counter values (registry + attached stats,
-// summed by name). Gauges and histograms are read through their
-// handles or the exporters.
+// Snapshot returns every attached sink's counters, summed by name.
+// Gauges and histograms are read through their handles or the
+// exporters.
 func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

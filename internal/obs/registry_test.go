@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"sync"
 	"testing"
 
@@ -9,10 +10,11 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("dma.retry.count")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
+	s := sim.NewStats()
+	r.AttachStats(s)
+	s.IncID(sim.IDDMARetries)
+	s.AddID(sim.IDDMARetries, 4)
+	if got := r.Snapshot()[sim.CtrDMARetries]; got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := r.Gauge("noc.link.occupancy")
@@ -25,13 +27,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestDuplicateRegistrationReturnsSameHandle(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("monitor.call.count")
-	c2 := r.Counter("monitor.call.count")
-	if c1 != c2 {
-		t.Fatal("same counter name returned distinct handles")
+	g1 := r.Gauge("noc.link.occupancy")
+	g2 := r.Gauge("noc.link.occupancy")
+	if g1 != g2 {
+		t.Fatal("same gauge name returned distinct handles")
 	}
-	c1.Inc()
-	if c2.Value() != 1 {
+	g1.Set(1)
+	if g2.Value() != 1 {
 		t.Fatal("duplicate handle does not share state")
 	}
 	h1 := r.Histogram("dma.xfer.cycles", DefaultCycleBuckets())
@@ -41,13 +43,17 @@ func TestDuplicateRegistrationReturnsSameHandle(t *testing.T) {
 	}
 }
 
+// A name is one kind everywhere: an instrument may not reuse another
+// kind's name or a typed counter's, so no export carries two # TYPE
+// lines for one name.
 func TestKindClashPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x.count")
-	mustPanic(t, "counter name reused as gauge", func() { r.Gauge("x.count") })
-	mustPanic(t, "counter name reused as histogram", func() { r.Histogram("x.count", []int64{1}) })
 	r.Gauge("x.depth")
-	mustPanic(t, "gauge name reused as counter", func() { r.Counter("x.depth") })
+	mustPanic(t, "gauge name reused as histogram", func() { r.Histogram("x.depth", []int64{1}) })
+	r.Histogram("x.lat", []int64{1})
+	mustPanic(t, "histogram name reused as gauge", func() { r.Gauge("x.lat") })
+	mustPanic(t, "typed counter name as gauge", func() { r.Gauge(sim.CtrMonitorCalls) })
+	mustPanic(t, "typed counter name as histogram", func() { r.Histogram(sim.CtrSchedCompletes, []int64{1}) })
 }
 
 func TestHistogramBoundsMismatchPanics(t *testing.T) {
@@ -88,95 +94,112 @@ func TestHistogramBoundaries(t *testing.T) {
 
 func TestResetMidRunKeepsHandlesValid(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
+	s := sim.NewStats()
+	r.AttachStats(s)
+	s.AddID(sim.IDNoCFlits, 3)
 	g := r.Gauge("g")
 	h := r.Histogram("h", []int64{8})
-	c.Add(3)
 	g.Set(9)
 	h.Observe(5)
 	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("Reset did not zero instruments in place")
 	}
 	// The pre-Reset handles must still be the live instruments.
-	c.Inc()
+	g.Set(1)
 	h.Observe(2)
-	if r.Counter("c") != c {
-		t.Fatal("Reset invalidated the counter handle")
-	}
-	if got := r.Snapshot()["c"]; got != 1 {
-		t.Fatalf("post-Reset counter = %d, want 1", got)
+	if r.Gauge("g") != g || r.Gauge("g").Value() != 1 {
+		t.Fatal("Reset invalidated the gauge handle")
 	}
 	if h.Count() != 1 {
 		t.Fatalf("post-Reset histogram count = %d, want 1", h.Count())
+	}
+	// Attached sinks belong to their SoCs: Reset leaves them alone.
+	if got := r.Snapshot()[sim.CtrNoCFlits]; got != 3 {
+		t.Fatalf("post-Reset sink counter = %d, want 3", got)
 	}
 }
 
 func TestScopeNesting(t *testing.T) {
 	r := NewRegistry()
 	s := r.Scope("noc").Scope("link")
-	s.Counter("stalls").Add(2)
-	if got := r.Snapshot()["noc.link.stalls"]; got != 2 {
-		t.Fatalf("scoped counter = %d, want 2", got)
-	}
-	if r.Counter("noc.link.stalls") != s.Counter("stalls") {
+	s.Gauge("occupancy").Set(2)
+	if r.Gauge("noc.link.occupancy") != s.Gauge("occupancy") {
 		t.Fatal("scoped and absolute names resolve to different handles")
+	}
+	if got := r.Gauge("noc.link.occupancy").Value(); got != 2 {
+		t.Fatalf("scoped gauge = %d, want 2", got)
 	}
 }
 
 func TestAttachStatsSumsAcrossSinks(t *testing.T) {
 	r := NewRegistry()
 	a, b := sim.NewStats(), sim.NewStats()
-	*a.Counter("noc.packets") = 3
-	*b.Counter("noc.packets") = 4
-	*b.Counter("dma.requests") = 1
+	a.AddID(sim.IDNoCPackets, 3)
+	b.AddID(sim.IDNoCPackets, 4)
+	b.IncID(sim.IDDMARequests)
 	r.AttachStats(a)
 	r.AttachStats(b)
 	r.AttachStats(nil) // no-op
-	r.Counter("noc.packets").Add(10)
 	snap := r.Snapshot()
-	if snap["noc.packets"] != 17 {
-		t.Fatalf("summed counter = %d, want 17", snap["noc.packets"])
+	if snap[sim.CtrNoCPackets] != 7 {
+		t.Fatalf("summed counter = %d, want 7", snap[sim.CtrNoCPackets])
 	}
-	if snap["dma.requests"] != 1 {
-		t.Fatalf("sink-only counter = %d, want 1", snap["dma.requests"])
+	if snap[sim.CtrDMARequests] != 1 {
+		t.Fatalf("one-sink counter = %d, want 1", snap[sim.CtrDMARequests])
 	}
 }
 
 // TestConcurrentRegistration exercises the registry's mutex-guarded
-// surface from many goroutines (run under -race by the CI `-race`
-// job): registration, AttachStats, Reset, and exports may interleave.
-// Instrument writes stay single-writer per the package contract, so
-// each goroutine uses its own names.
+// surface from many goroutines (run under -race by CI): registration,
+// AttachStats, snapshots and both exports interleave. Instrument
+// writes stay single-writer per the package contract: each goroutine
+// writes only its own gauge, histogram and sink, and every goroutine
+// finishes writing before any of them reads the registry.
 func TestConcurrentRegistration(t *testing.T) {
+	const workers = 8
 	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
+	var written, done sync.WaitGroup
+	written.Add(workers)
+	done.Add(workers)
+	for i := 0; i < workers; i++ {
 		go func(id int) {
-			defer wg.Done()
+			defer done.Done()
 			s := r.Scope("worker").Scope(string(rune('a' + id)))
-			c := s.Counter("count")
+			g := s.Gauge("depth")
 			h := s.Histogram("lat", DefaultCycleBuckets())
 			for j := 0; j < 100; j++ {
-				c.Inc()
+				g.Set(int64(j))
 				h.Observe(int64(j))
 			}
 			sink := sim.NewStats()
-			*sink.Counter("shared.total") = 1
+			sink.IncID(sim.IDSchedCompletes)
+			written.Done()
+			written.Wait()
 			r.AttachStats(sink)
+			if s.Histogram("lat", DefaultCycleBuckets()) != h {
+				t.Error("re-registration returned a different histogram")
+			}
 			_ = r.Snapshot()
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+			if err := r.WriteJSON(io.Discard); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
-	wg.Wait()
-	snap := r.Snapshot()
-	if snap["shared.total"] != 8 {
-		t.Fatalf("shared.total = %d, want 8", snap["shared.total"])
+	done.Wait()
+	if got := r.Snapshot()[sim.CtrSchedCompletes]; got != workers {
+		t.Fatalf("%s = %d, want %d", sim.CtrSchedCompletes, got, workers)
 	}
-	for i := 0; i < 8; i++ {
-		name := "worker." + string(rune('a'+i)) + ".count"
-		if snap[name] != 100 {
-			t.Fatalf("%s = %d, want 100", name, snap[name])
+	for i := 0; i < workers; i++ {
+		name := "worker." + string(rune('a'+i))
+		if got := r.Gauge(name + ".depth").Value(); got != 99 {
+			t.Fatalf("%s.depth = %d, want 99", name, got)
+		}
+		if got := r.Histogram(name+".lat", DefaultCycleBuckets()).Count(); got != 100 {
+			t.Fatalf("%s.lat count = %d, want 100", name, got)
 		}
 	}
 }
@@ -191,7 +214,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-func TestAttachStatsListsCanonicalNamespace(t *testing.T) {
+func TestAttachStatsListsEveryTypedCounter(t *testing.T) {
 	r := NewRegistry()
 	if len(r.Snapshot()) != 0 {
 		t.Fatalf("empty registry snapshot = %v", r.Snapshot())
@@ -200,20 +223,17 @@ func TestAttachStatsListsCanonicalNamespace(t *testing.T) {
 	s.IncID(sim.IDDMARequests)
 	r.AttachStats(s)
 	snap := r.Snapshot()
-	for _, name := range sim.CanonicalCounters() {
+	for _, name := range sim.CounterNames() {
 		if _, ok := snap[name]; !ok {
-			t.Errorf("canonical counter %s missing from export", name)
+			t.Errorf("typed counter %s missing from export", name)
 		}
 	}
-	if snap[sim.CtrDMARequests] != 1 || len(snap) != len(sim.CanonicalCounters()) {
+	if snap[sim.CtrDMARequests] != 1 || len(snap) != len(sim.CounterNames()) {
 		t.Fatalf("snapshot has %d keys, dma.requests=%d", len(snap), snap[sim.CtrDMARequests])
 	}
 }
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
-	var c *Counter
 	var h *Histogram
-	c.Inc()
-	c.Add(3)
 	h.Observe(7)
 }

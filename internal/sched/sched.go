@@ -336,10 +336,7 @@ type Scheduler struct {
 	decisions   []Decision
 	flushCycles sim.Cycle
 
-	obsDispatch, obsPreempt, obsComplete *obs.Counter
-	obsReject, obsAbort, obsBatch        *obs.Counter
-	obsRetry, obsDeadlineMiss            *obs.Counter
-	obsLatency                           *obs.Histogram
+	obsLatency *obs.Histogram
 }
 
 // New validates deps and builds an empty scheduler.
@@ -379,25 +376,15 @@ func New(deps Deps, cfg Config) (*Scheduler, error) {
 	}, nil
 }
 
-// AttachObserver wires scheduler counters and the request-latency
-// histogram into an observability registry. Nil detaches.
+// AttachObserver wires the request-latency histogram into an
+// observability registry; the scheduler's counters go to Deps.Stats
+// either way. Nil detaches.
 func (s *Scheduler) AttachObserver(o *obs.Observer) {
 	if o == nil {
-		s.obsDispatch, s.obsPreempt, s.obsComplete = nil, nil, nil
-		s.obsReject, s.obsAbort, s.obsBatch, s.obsLatency = nil, nil, nil, nil
-		s.obsRetry, s.obsDeadlineMiss = nil, nil
+		s.obsLatency = nil
 		return
 	}
-	scope := o.Registry().Scope("sched")
-	s.obsDispatch = scope.Counter("dispatch.count")
-	s.obsPreempt = scope.Counter("preempt.count")
-	s.obsComplete = scope.Counter("complete.count")
-	s.obsReject = scope.Counter("reject.count")
-	s.obsAbort = scope.Counter("abort.count")
-	s.obsBatch = scope.Counter("batch.count")
-	s.obsRetry = scope.Counter("retry")
-	s.obsDeadlineMiss = scope.Counter("deadline_miss")
-	s.obsLatency = scope.Histogram("latency.cycles", obs.DefaultCycleBuckets())
+	s.obsLatency = o.Registry().Histogram("sched.latency.cycles", obs.DefaultCycleBuckets())
 }
 
 // Submit validates and queues one request. Validation is the
@@ -798,7 +785,7 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 			if rs.req.Priority > j.prio {
 				j.prio = rs.req.Priority
 			}
-			s.obsBatch.Inc()
+			s.deps.Stats.IncID(sim.IDSchedBatches)
 			if rs.req.Decode != nil {
 				// Continuous batching: the member joins a possibly
 				// running batch; the round-robin cursor reaches it at
@@ -1150,7 +1137,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 	if resumed {
 		ev = "resume"
 	}
-	s.obsDispatch.Inc()
+	s.deps.Stats.IncID(sim.IDSchedDispatches)
 	s.decide(start, c.id, ev, m, fmt.Sprintf("prio=%d", j.prio))
 }
 
@@ -1210,7 +1197,7 @@ func (s *Scheduler) advance(c *coreState) {
 		if m.pass == len(m.progs) {
 			m.finish = end
 			m.terminal, m.completed = true, true
-			s.obsComplete.Inc()
+			s.deps.Stats.IncID(sim.IDSchedCompletes)
 			s.obsLatency.Observe(int64(end - m.req.Arrival))
 			s.leave(c, m, end)
 			s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
@@ -1241,7 +1228,7 @@ func (s *Scheduler) cutDeadline(c *coreState, j *job, at sim.Cycle) {
 	m.finish = at
 	m.ex = nil
 	m.errMsg = "sched: deadline missed"
-	s.obsDeadlineMiss.Inc()
+	s.deps.Stats.IncID(sim.IDSchedDeadlineMisses)
 	s.decide(at, c.id, "deadline_miss", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
 	s.leave(c, m, at)
 	s.endTurn(c, j)
@@ -1318,7 +1305,7 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 	j := c.cur
 	m := j.cur()
 	m.preempts++
-	s.obsPreempt.Inc()
+	s.deps.Stats.IncID(sim.IDSchedPreempts)
 	s.deps.Stats.IncID(sim.IDCtxSwitches)
 	if j.secure {
 		rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnPreempt, Args: []uint64{uint64(j.monID)}})
@@ -1395,7 +1382,7 @@ func (s *Scheduler) abortMember(m *reqState, at sim.Cycle, core int, retryable b
 	m.retryable = retryable
 	m.finish = at
 	m.errMsg = ErrTaskAborted.Error()
-	s.obsAbort.Inc()
+	s.deps.Stats.IncID(sim.IDSchedAborts)
 	s.decide(at, core, "abort", m, "")
 }
 
@@ -1432,7 +1419,7 @@ func (s *Scheduler) abortJob(c *coreState, j *job, at sim.Cycle, fault bool) {
 		}
 		m.retryAt = retryAt
 		s.retryQ = append(s.retryQ, m)
-		s.obsRetry.Inc()
+		s.deps.Stats.IncID(sim.IDSchedRetries)
 		s.decide(at, c.id, "retry", m,
 			fmt.Sprintf("attempt=%d backoff-until=%d checkpoint=%d", m.attempts, retryAt, m.checkpoint))
 	}
@@ -1449,14 +1436,14 @@ func (s *Scheduler) drop(m *reqState, at sim.Cycle, core int) {
 	m.terminal, m.dropped = true, true
 	m.finish = at
 	m.errMsg = "sched: deadline missed"
-	s.obsDeadlineMiss.Inc()
+	s.deps.Stats.IncID(sim.IDSchedDeadlineMisses)
 	s.decide(at, core, "drop", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
 }
 
 func (s *Scheduler) reject(rs *reqState, at sim.Cycle, msg string) {
 	rs.terminal, rs.rejected = true, true
 	rs.errMsg = msg
-	s.obsReject.Inc()
+	s.deps.Stats.IncID(sim.IDSchedRejects)
 	s.decide(at, -1, "reject", rs, msg)
 }
 

@@ -326,3 +326,89 @@ func TestServeHealthAndGracefulDrain(t *testing.T) {
 	}
 	_ = sys
 }
+
+// The scheduler, monitor and serve counters live in the system's
+// sim.Stats; after an episode with faults, deadlines, preemption and
+// shedding, each one must equal what the decision log and the run
+// report say happened.
+func TestServeCountersMatchDecisionLog(t *testing.T) {
+	sys, srv := bootResilient(t, Config{Cores: []int{0}, MaxRestarts: 2, MaxQueuePerTenant: 2})
+	h := srv.Handler()
+	// Hang core 0 while the secure mobilenet runs, so it aborts and is
+	// retried.
+	sys.InstallFaultPlan(fault.Plan{Events: []fault.Event{{At: 12_000_000, Kind: fault.CoreHang, Sel: 0}}})
+	sealed := provisionAndSeal(t, sys, "ka")
+	submits := []struct {
+		body string
+		want int
+	}{
+		{fmt.Sprintf(`{"id":1,"tenant":"a","model":"mobilenet","secure":true,"key_id":"ka","sealed_b64":"%s"}`, sealed), http.StatusAccepted},
+		// Outranks the secure request: it is preempted with a flush.
+		{`{"id":2,"tenant":"b","model":"yololite","priority":5,"arrival":2000000}`, http.StatusAccepted},
+		// Preempts request 2; its deadline clears the compute floor at
+		// admission but not the scheduled run, so it is cut mid-run.
+		{`{"id":3,"tenant":"c","model":"yololite","priority":9,"arrival":2100000,"deadline":6200000}`, http.StatusAccepted},
+		// Expires in the queue behind everything else.
+		{`{"id":4,"tenant":"d","model":"mobilenet","arrival":100,"deadline":3000000}`, http.StatusAccepted},
+		// Tenant e's queue bound is 2: the third equal-priority submit
+		// is refused, the higher-priority fourth sheds a queued one.
+		{`{"id":5,"tenant":"e","model":"yololite","arrival":30000000}`, http.StatusAccepted},
+		{`{"id":6,"tenant":"e","model":"yololite","arrival":30000000}`, http.StatusAccepted},
+		{`{"id":7,"tenant":"e","model":"yololite","arrival":30000000}`, http.StatusTooManyRequests},
+		{`{"id":8,"tenant":"e","model":"yololite","arrival":30000000,"priority":3}`, http.StatusAccepted},
+	}
+	for _, s := range submits {
+		if rec := do(t, h, "POST", "/v1/submit", s.body); rec.Code != s.want {
+			t.Fatalf("submit %s: %d, want %d (%s)", s.body, rec.Code, s.want, rec.Body)
+		}
+	}
+	rec := do(t, h, "POST", "/v1/run", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("run: %d %s", rec.Code, rec.Body)
+	}
+	var rep RunReport
+	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	events := map[string]int{}
+	securePreempts := 0
+	for _, line := range rep.DecisionLog {
+		f := strings.Fields(line)
+		events[f[2]]++
+		if f[2] == "preempt" && f[3] == "req=1" {
+			securePreempts++
+		}
+	}
+	completed := 0
+	for _, r := range rep.Results {
+		if r.Completed {
+			completed++
+		}
+	}
+	rec = do(t, h, "GET", "/v1/status", "")
+	var status struct {
+		Shed int `json:"shed"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stats()
+	for _, c := range []struct {
+		counter string
+		want    int
+	}{
+		{sim.CtrSchedRetries, events["retry"]},
+		// A deadline miss is a cut mid-run or an expiry in the queue.
+		{sim.CtrSchedDeadlineMisses, events["deadline_miss"] + events["drop"]},
+		{sim.CtrSchedCompletes, completed},
+		{sim.CtrServeShed, status.Shed},
+		{sim.CtrMonitorPreempts, securePreempts},
+	} {
+		if c.want == 0 {
+			t.Errorf("%s: the episode produced none, so the check is vacuous\n%s", c.counter, strings.Join(rep.DecisionLog, "\n"))
+		}
+		if got := st.Get(c.counter); got != int64(c.want) {
+			t.Errorf("%s = %d, decision log and report say %d", c.counter, got, c.want)
+		}
+	}
+}

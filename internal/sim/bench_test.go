@@ -34,29 +34,6 @@ func BenchmarkEngineInterleaved(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsAdd measures the by-name counter path every component
-// hits on every request.
-func BenchmarkStatsAdd(b *testing.B) {
-	b.ReportAllocs()
-	s := NewStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(CtrNoCFlits, 1)
-	}
-}
-
-// BenchmarkStatsCounterHandle measures the resolved-handle fast path
-// hot components use instead of repeated map lookups.
-func BenchmarkStatsCounterHandle(b *testing.B) {
-	b.ReportAllocs()
-	s := NewStats()
-	c := s.Counter(CtrNoCFlits)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		*c++
-	}
-}
-
 // BenchmarkResourceClaim measures the serialized-resource grant path
 // (one claim per DMA batch / NoC link per packet).
 func BenchmarkResourceClaim(b *testing.B) {

@@ -186,28 +186,28 @@ func TestResourceClaimsNeverOverlap(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	s := NewStats()
-	s.Inc("a")
-	s.Add("a", 4)
-	s.Add("b", -2)
-	if s.Get("a") != 5 || s.Get("b") != -2 || s.Get("missing") != 0 {
+	s.IncID(IDNoCPackets)
+	s.AddID(IDNoCPackets, 4)
+	s.AddID(IDDMABytes, -2)
+	if s.Get(CtrNoCPackets) != 5 || s.Get(CtrDMABytes) != -2 || s.Get("missing") != 0 {
 		t.Fatalf("unexpected counters: %v", s.Snapshot())
 	}
 	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
+	if len(names) != 2 || names[0] != CtrDMABytes || names[1] != CtrNoCPackets {
 		t.Fatalf("names = %v", names)
 	}
 	s.Reset()
-	if s.Get("a") != 0 {
+	if s.Get(CtrNoCPackets) != 0 {
 		t.Fatal("reset did not clear counters")
 	}
 }
 
 func TestStatsSnapshotIsCopy(t *testing.T) {
 	s := NewStats()
-	s.Set("x", 7)
+	s.AddID(IDSpadReads, 7)
 	snap := s.Snapshot()
-	snap["x"] = 99
-	if s.Get("x") != 7 {
+	snap[CtrSpadReads] = 99
+	if s.Get(CtrSpadReads) != 7 {
 		t.Fatal("snapshot aliases the live counter map")
 	}
 }

@@ -6,21 +6,20 @@ import (
 	"strings"
 )
 
-// Stats is the simulator's hardware-counter sink. Each canonical counter
-// (the Ctr* names below) has a CounterID indexing a dense array, so
-// components count through AddID/IncID with no map lookup; names exist
-// only on the read side (Get, Snapshot, Names, String), which lists
-// canonical counters when nonzero. The string-keyed Add/Inc/Set/Counter
-// serve ad-hoc names outside the table (tests, tools) and resolve a
-// canonical name to its array cell. Not safe for concurrent use: each
-// simulated SoC is single-threaded and owns a private Stats.
+// Stats is the simulator's one counter store. Every counter — hardware
+// events and the monitor, scheduler, serve and profiler instruments
+// alike — has a CounterID indexing a dense array, so components count
+// through AddID/IncID with no map lookup; names exist only on the read
+// side (Get, Snapshot, Names, String) and in exports. A Stats value is
+// a plain array: copying it snapshots every counter. Not safe for
+// concurrent use: each simulated SoC is single-threaded and owns a
+// private Stats.
 type Stats struct {
-	ids    [numCounters]int64
-	extras map[string]*int64 // non-canonical names, created on first use
+	ids [numCounters]int64
 }
 
 // NewStats returns an empty counter set.
-func NewStats() *Stats { return &Stats{extras: make(map[string]*int64)} }
+func NewStats() *Stats { return &Stats{} }
 
 // AddID increments counter id by delta. Safe on a nil Stats, so
 // components without a sink need no guard.
@@ -37,60 +36,34 @@ func (s *Stats) IncID(id CounterID) {
 	}
 }
 
-// Counter returns the stable cell for name, creating a non-canonical
-// counter at zero on first use. The pointer stays valid across Reset.
-func (s *Stats) Counter(name string) *int64 {
+// Inc increments counter name by one; a name no counter carries is
+// ignored. Counting sites use IncID; Inc is kept because the benchmark
+// module's profiler test (perfbench) calls it and that module is
+// changed only together with the benchmark.
+func (s *Stats) Inc(name string) {
 	if id, ok := counterIDs[name]; ok {
-		return &s.ids[id]
+		s.ids[id]++
 	}
-	if c, ok := s.extras[name]; ok {
-		return c
-	}
-	c := new(int64)
-	s.extras[name] = c
-	return c
 }
 
-// Add increments counter name by delta.
-func (s *Stats) Add(name string, delta int64) { *s.Counter(name) += delta }
-
-// Inc increments counter name by one.
-func (s *Stats) Inc(name string) { s.Add(name, 1) }
-
-// Get reads counter name, zero if never written.
+// Get reads counter name, zero for a name no counter carries.
 func (s *Stats) Get(name string) int64 {
 	if id, ok := counterIDs[name]; ok {
 		return s.ids[id]
 	}
-	if c, ok := s.extras[name]; ok {
-		return *c
-	}
 	return 0
 }
 
-// Set overwrites counter name.
-func (s *Stats) Set(name string, v int64) { *s.Counter(name) = v }
+// Reset zeroes every counter.
+func (s *Stats) Reset() { s.ids = [numCounters]int64{} }
 
-// Reset zeroes every counter in place; pointers returned by Counter
-// remain valid and read zero afterwards.
-func (s *Stats) Reset() {
-	s.ids = [numCounters]int64{}
-	for _, c := range s.extras {
-		*c = 0
-	}
-}
-
-// Snapshot copies the nonzero canonical counters and every
-// non-canonical counter created so far.
+// Snapshot copies the nonzero counters by name.
 func (s *Stats) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(s.extras)+16)
+	out := make(map[string]int64, 16)
 	for id, v := range s.ids {
 		if v != 0 {
 			out[counterNames[id]] = v
 		}
-	}
-	for k, v := range s.extras {
-		out[k] = *v
 	}
 	return out
 }
@@ -165,9 +138,22 @@ const (
 	CtrTaskRestarts      = "recovery.task_restarts"
 	CtrRecoveredFaults   = "recovery.recovered"
 	CtrUnrecoveredFaults = "recovery.unrecovered"
+
+	// Monitor, scheduler, serve-daemon and profiler instruments.
+	CtrMonitorPreempts     = "monitor.preempt.count"
+	CtrSchedDispatches     = "sched.dispatch.count"
+	CtrSchedPreempts       = "sched.preempt.count"
+	CtrSchedCompletes      = "sched.complete.count"
+	CtrSchedRejects        = "sched.reject.count"
+	CtrSchedAborts         = "sched.abort.count"
+	CtrSchedBatches        = "sched.batch.count"
+	CtrSchedRetries        = "sched.retry"
+	CtrSchedDeadlineMisses = "sched.deadline_miss"
+	CtrServeShed           = "serve.shed"
+	CtrProfilerSamples     = "profiler.sample.count"
 )
 
-// CounterID names one canonical counter; IDs index Stats' dense array.
+// CounterID names one counter; IDs index Stats' dense array.
 type CounterID uint8
 
 // Counter IDs: one per Ctr* name, in the same order, then the
@@ -218,6 +204,17 @@ const (
 	IDTaskRestarts
 	IDRecoveredFaults
 	IDUnrecoveredFaults
+	IDMonitorPreempts
+	IDSchedDispatches
+	IDSchedPreempts
+	IDSchedCompletes
+	IDSchedRejects
+	IDSchedAborts
+	IDSchedBatches
+	IDSchedRetries
+	IDSchedDeadlineMisses
+	IDServeShed
+	IDProfilerSamples
 
 	// Per-kind fault injection counts, in fault.Kind order.
 	IDFaultInjectedDRAMBitFlip
@@ -231,9 +228,6 @@ const (
 
 	numCounters
 )
-
-// numCanonical counts the IDs that carry a Ctr* name.
-const numCanonical = IDFaultInjectedDRAMBitFlip
 
 // counterNames is the one ID->name table; counterIDs inverts it.
 var counterNames = [numCounters]string{
@@ -252,6 +246,11 @@ var counterNames = [numCounters]string{
 	IDNoCCRCFail: CtrNoCCRCFail, IDNoCDrops: CtrNoCDrops, IDNoCRetries: CtrNoCRetries, IDNoCReroutes: CtrNoCReroutes, IDNoCLinksDown: CtrNoCLinksDown,
 	IDDMATimeouts: CtrDMATimeouts, IDDMARetries: CtrDMARetries, IDCoreHangs: CtrCoreHangs, IDMonitorAborts: CtrMonitorAborts,
 	IDTaskRestarts: CtrTaskRestarts, IDRecoveredFaults: CtrRecoveredFaults, IDUnrecoveredFaults: CtrUnrecoveredFaults,
+	IDMonitorPreempts: CtrMonitorPreempts,
+	IDSchedDispatches: CtrSchedDispatches, IDSchedPreempts: CtrSchedPreempts, IDSchedCompletes: CtrSchedCompletes,
+	IDSchedRejects: CtrSchedRejects, IDSchedAborts: CtrSchedAborts, IDSchedBatches: CtrSchedBatches,
+	IDSchedRetries: CtrSchedRetries, IDSchedDeadlineMisses: CtrSchedDeadlineMisses,
+	IDServeShed: CtrServeShed, IDProfilerSamples: CtrProfilerSamples,
 
 	IDFaultInjectedDRAMBitFlip:  CtrFaultsInjected + ".dram-bit-flip",
 	IDFaultInjectedNoCCorrupt:   CtrFaultsInjected + ".noc-corrupt",
@@ -274,10 +273,6 @@ var counterIDs = func() map[string]CounterID {
 // String returns the counter's export name.
 func (id CounterID) String() string { return counterNames[id] }
 
-// CanonicalCounters lists the Ctr* names in declaration order: the
-// component namespace (noc.*, dma.*, npu.*, iotlb.*, monitor.*, ...)
-// that metrics exports cover in full, zeros included. Per-kind fault
-// injection counts are typed too but appear only when nonzero.
-func CanonicalCounters() []string {
-	return append([]string(nil), counterNames[:numCanonical]...)
-}
+// CounterNames lists every counter's name in ID order. A metrics
+// registry with a Stats attached exports all of them, zeros included.
+func CounterNames() []string { return append([]string(nil), counterNames[:]...) }

@@ -198,22 +198,18 @@ func (s *System) Reset() error {
 }
 
 // EnableObservability arms the unified observability layer across the
-// whole SoC: the metrics registry aggregates the system counters plus
-// per-component instruments (NoC stall histograms, DMA latency, IOTLB
-// walks, Monitor call/abort/reject counts), executors record spans on
-// the observer's timeline, and profiling hooks sample link occupancy
-// and channel backlog on a fixed cycle cadence. Metrics dumps cover
-// the full canonical counter namespace, zeros included.
+// whole SoC: the metrics registry exports the system counters plus
+// per-component histograms (NoC stalls, DMA latency, IOTLB walks,
+// scheduler latency), executors record spans on the observer's
+// timeline, and profiling hooks sample link occupancy and channel
+// backlog on a fixed cycle cadence. Metrics dumps list every typed
+// counter, zeros included.
 //
 // Observability is passive — enabling it does not change a single
 // simulated cycle — and stays attached for the system's lifetime.
 func (s *System) EnableObservability(cfg obs.Config) *obs.Observer {
-	o := obs.NewObserver(cfg)
-	o.Registry().AttachStats(s.stats)
+	o := obs.NewObserver(cfg, s.stats)
 	s.acc.AttachObserver(o)
-	if s.mon != nil {
-		s.mon.AttachObserver(o)
-	}
 	s.inj.AttachTrace(o.Trace())
 	s.obs = o
 	return o
