@@ -4,13 +4,17 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // The typed-counter contract: one ID<->name table whose names are
-// exactly the Ctr* constants plus the per-kind fault injection counts.
+// exactly the Ctr* constants plus the per-kind fault injection counts,
+// and no string-keyed increments anywhere on the simulation path.
 
 func TestCounterIDTableIsBijection(t *testing.T) {
 	names := CounterNames()
@@ -110,4 +114,89 @@ func TestTypedCounterIncrementDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("typed increment allocates %.1f times per run", n)
 	}
+}
+
+// TestNoStringKeyedCanonicalIncrements scans every non-test Go file of
+// the module: a sim.Ctr* constant passed to Inc is a string-keyed
+// (map-lookup) increment of a counter that has a typed ID. Inc is the
+// one by-name writer left on Stats.
+func TestNoStringKeyedCanonicalIncrements(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not found at %s: %v", root, err)
+	}
+	fset := token.NewFileSet()
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+				return filepath.SkipDir // a nested module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		inSim := f.Name.Name == "sim"
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Inc" {
+				return true
+			}
+			if ctr := ctrConstIn(call.Args[0], inSim); ctr != "" {
+				t.Errorf("%s: %s(%s...) increments a canonical counter by name; use the typed ID",
+					fset.Position(call.Pos()), sel.Sel.Name, ctr)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("scanned only %d files under %s", files, root)
+	}
+}
+
+// ctrConstIn returns the first Ctr* constant referenced in e (as
+// sim.CtrX, or bare CtrX inside package sim), or "".
+func ctrConstIn(e ast.Expr, inSim bool) string {
+	found := ""
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found != "" {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "sim" && strings.HasPrefix(x.Sel.Name, "Ctr") {
+				found = "sim." + x.Sel.Name
+			}
+		case *ast.Ident:
+			if inSim && strings.HasPrefix(x.Name, "Ctr") {
+				found = x.Name
+			}
+		}
+		return true
+	})
+	return found
 }
