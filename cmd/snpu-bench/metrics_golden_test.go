@@ -15,6 +15,7 @@ import (
 	snpu "repro"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -73,22 +74,8 @@ func TestMetricsExportsGolden(t *testing.T) {
 
 	got["serve/metrics"] = serveEpisodeMetrics(t)
 
-	yolo, err := workload.Lookup("yololite")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range []options{
-		{exp: "fig13", models: []workload.Workload{yolo}, seed: 1},
-		{exp: "decode", models: []workload.Workload{yolo}, seed: 1, small: true},
-	} {
-		o.metricsDir = filepath.Join(tmp, o.exp)
-		if err := os.MkdirAll(o.metricsDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := runSuite(&bytes.Buffer{}, o); err != nil {
-			t.Fatal(err)
-		}
-		readPair("snpu-bench/"+o.exp, filepath.Join(o.metricsDir, o.exp+".prom"))
+	for _, o := range metricsDirRuns(t) {
+		readPair("snpu-bench/"+o.exp, exportMetricsDir(t, o))
 	}
 
 	raw, err := os.ReadFile(metricsGoldenPath)
@@ -113,6 +100,59 @@ func TestMetricsExportsGolden(t *testing.T) {
 	for k := range want {
 		if _, ok := got[k]; !ok {
 			t.Errorf("committed entry %s is no longer produced", k)
+		}
+	}
+}
+
+// metricsDirRuns are the pinned snpu-bench -metrics-dir invocations:
+// -exp fig13 -models yololite and -exp decode -small.
+func metricsDirRuns(t *testing.T) []options {
+	t.Helper()
+	yolo, err := workload.Lookup("yololite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []options{
+		{exp: "fig13", models: []workload.Workload{yolo}, seed: 1},
+		{exp: "decode", models: []workload.Workload{yolo}, seed: 1, small: true},
+	}
+}
+
+// exportMetricsDir runs one experiment with a fresh -metrics-dir and
+// returns the path of its Prometheus dump (the JSON one sits next to
+// it).
+func exportMetricsDir(t *testing.T, o options) string {
+	t.Helper()
+	o.metricsDir = t.TempDir()
+	if _, err := runSuite(&bytes.Buffer{}, o); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(o.metricsDir, o.exp+".prom")
+}
+
+// TestMetricsDirExportsCellCounters: a -metrics-dir dump carries what
+// the experiment's SoCs counted, although every cell releases (and so
+// resets) its SoC before the export reads the counters.
+func TestMetricsDirExportsCellCounters(t *testing.T) {
+	nonzero := map[string][]string{
+		"fig13":  {sim.CtrDMARequests, sim.CtrGuarderChecks},
+		"decode": {sim.CtrMonitorCalls},
+	}
+	for _, o := range metricsDirRuns(t) {
+		b, err := os.ReadFile(strings.TrimSuffix(exportMetricsDir(t, o), ".prom") + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(b, &dump); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range nonzero[o.exp] {
+			if dump.Counters[name] <= 0 {
+				t.Errorf("%s.json: %s = %d, want > 0", o.exp, name, dump.Counters[name])
+			}
 		}
 	}
 }

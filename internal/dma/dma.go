@@ -113,9 +113,9 @@ func (e *Engine) AttachInjector(inj *fault.Injector) { e.inj = inj }
 
 // AttachObserver wires the engine into an observability layer: a span
 // per burst, a dma.xfer.cycles histogram of end-to-end request
-// latency, and a dma.chan.backlog profiling hook sampling how far ahead the shared
-// DRAM channel is booked. core labels this engine's spans. Nil
-// detaches.
+// latency, and a dma.chan.backlog profiling hook sampling how far
+// ahead the shared DRAM channel is booked. core labels this engine's
+// spans. Nil detaches.
 func (e *Engine) AttachObserver(o *obs.Observer, core int) {
 	if o == nil {
 		e.obsXfer, e.obsRec, e.obsProf = nil, nil, nil

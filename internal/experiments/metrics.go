@@ -55,6 +55,22 @@ func RecordSoCStats(s *sim.Stats) {
 	}
 }
 
+// FreezeSoCStats swaps a collected sink for a copy of its current
+// values (a no-op for a sink not collected). Release paths call it just
+// before they reset a SoC's counters, so the export still reads what
+// the SoC counted.
+func FreezeSoCStats(s *sim.Stats) {
+	collect.mu.Lock()
+	defer collect.mu.Unlock()
+	for i, c := range collect.sinks {
+		if c == s {
+			frozen := *s
+			collect.sinks[i] = &frozen
+			return
+		}
+	}
+}
+
 // DrainSoCStats returns the sinks collected since the last drain (or
 // enable) and clears the list, keeping collection on. The caller must
 // only read the sinks after the owning cells finish — the experiment

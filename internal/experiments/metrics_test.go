@@ -7,6 +7,7 @@ import (
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // exportCollected runs fn inside a stats-collection window and returns
@@ -31,27 +32,38 @@ func exportCollected(t *testing.T, fn func() error) string {
 
 // TestMetricsCollectionDeterminism pins the -metrics-dir contract: the
 // aggregated per-experiment metrics are byte-identical at any worker
-// count. Sinks register in pool-completion order, which varies with
-// -j, but the registry sums same-named counters commutatively and
-// exports sorted, so the order cannot show.
+// count. Sinks register (and released SoCs freeze theirs) in
+// pool-completion order, which varies with -j, but the registry sums
+// same-named counters commutatively and exports sorted, so the order
+// cannot show. Fig16 boots its own sinks; Fig13's cells release
+// pooled SoCs.
 func TestMetricsCollectionDeterminism(t *testing.T) {
 	cfg := npu.DefaultConfig()
-	run := func(workers int) string {
-		old := Workers()
-		SetWorkers(workers)
-		defer SetWorkers(old)
-		return exportCollected(t, func() error {
-			_, err := Fig16(cfg)
-			return err
-		})
+	yolo, err := workload.Lookup("yololite")
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := run(1)
-	par := run(4)
-	if seq != par {
-		t.Fatalf("aggregated metrics differ between -j 1 and -j 4:\n--- j1 ---\n%s\n--- j4 ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "noc_flits") || !strings.Contains(seq, "dma_bytes") {
-		t.Fatalf("aggregated export missing expected counters:\n%s", seq)
+	for _, exp := range []struct {
+		name string
+		run  func() error
+	}{
+		{"fig16", func() error { _, err := Fig16(cfg); return err }},
+		{"fig13", func() error { _, err := Fig13([]workload.Workload{yolo}, cfg); return err }},
+	} {
+		run := func(workers int) string {
+			old := Workers()
+			SetWorkers(workers)
+			defer SetWorkers(old)
+			return exportCollected(t, exp.run)
+		}
+		seq := run(1)
+		par := run(4)
+		if seq != par {
+			t.Fatalf("%s: aggregated metrics differ between -j 1 and -j 4:\n--- j1 ---\n%s\n--- j4 ---\n%s", exp.name, seq, par)
+		}
+		if !strings.Contains(seq, "noc_flits") || !strings.Contains(seq, "dma_bytes") || strings.Contains(seq, "dma_bytes 0\n") {
+			t.Fatalf("%s: aggregated export missing expected counters:\n%s", exp.name, seq)
+		}
 	}
 }
 
@@ -67,10 +79,13 @@ func TestCollectSoCStatsWindow(t *testing.T) {
 	if len(sinks) != 1 || sinks[0] != s {
 		t.Fatalf("sinks = %v, want exactly the one recorded inside the window", sinks)
 	}
-	// Drain clears but keeps collecting.
-	RecordSoCStats(sim.NewStats())
-	if got := len(DrainSoCStats()); got != 1 {
-		t.Fatalf("post-drain sink count = %d, want 1", got)
+	// Drain clears but keeps collecting. A frozen sink keeps the
+	// values it had when its owner reset it.
+	RecordSoCStats(s)
+	FreezeSoCStats(s)
+	s.Reset()
+	if sinks := DrainSoCStats(); len(sinks) != 1 || sinks[0] == s || sinks[0].Get(sim.CtrDMARequests) != 1 {
+		t.Fatalf("post-drain sinks = %v, want one frozen copy reading dma.requests 1", sinks)
 	}
 	CollectSoCStats(false)
 	RecordSoCStats(sim.NewStats())

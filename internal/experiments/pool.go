@@ -113,6 +113,7 @@ func (soc *SoC) Release() {
 	if soc == nil {
 		return
 	}
+	FreezeSoCStats(soc.Stats)
 	soc.NPU.Reset()
 	soc.Phys.Reset()
 	soc.Stats.Reset()

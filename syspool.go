@@ -58,6 +58,7 @@ func (s *System) release() {
 	if s == nil {
 		return
 	}
+	experiments.FreezeSoCStats(s.stats)
 	if err := s.Reset(); err != nil {
 		return
 	}
