@@ -58,6 +58,14 @@ func TestSweepGolden(t *testing.T) {
 			got[fmt.Sprintf("%s/seed%d", shape.name, seed)] = res.TableString()
 		}
 	}
+	// The root secure run path's recovery ladder (snpu-bench -exp chaos).
+	for _, seed := range goldenSeeds {
+		res, err := Chaos("yololite", seed, nil)
+		if err != nil {
+			t.Fatalf("chaos/yololite seed %d: %v", seed, err)
+		}
+		got[fmt.Sprintf("chaos/yololite/seed%d", seed)] = res.TableString()
+	}
 	checkSweepGolden(t, got)
 }
 
