@@ -79,9 +79,10 @@ type BenchSnapshot struct {
 	PoolMisses         uint64 `json:"pool_misses"`
 	CompileCacheHits   uint64 `json:"compile_cache_hits"`
 	CompileCacheMisses uint64 `json:"compile_cache_misses"`
-	// MetricsOverheadPct is the observability layer's measured
-	// enabled-vs-disabled wall-time overhead in percent, present when
-	// the snapshot was taken with -metrics-overhead. CI gates it at
+	// MetricsOverheadPct is the median of the observability layer's
+	// measured enabled-vs-disabled wall-time overhead in percent over
+	// alternating probe pairs, present when the snapshot was taken with
+	// -metrics-overhead. CI gates the pairs' spread at
 	// metricsOverheadLimitPct.
 	MetricsOverheadPct float64 `json:"metrics_overhead_pct,omitempty"`
 	// Resilience summarizes the resilience sweep when the run included

@@ -315,20 +315,19 @@ func main() {
 		fatal(err)
 	}
 
-	var overheadPct float64
+	var overhead overheadReading
 	if *metricsOverhead {
-		pct, err := measureMetricsOverhead()
+		overhead, err = measureMetricsOverhead()
 		if err != nil {
 			fatal(err)
 		}
-		overheadPct = pct
-		fmt.Fprintf(os.Stderr, "snpu-bench: metrics overhead %.2f%% enabled vs disabled (limit %.1f%%)\n",
-			pct, metricsOverheadLimitPct)
+		fmt.Fprintf(os.Stderr, "snpu-bench: metrics overhead median %+.2f%% (IQR %+.2f%% to %+.2f%%) over %d alternating pairs, enabled vs disabled (limit %.1f%%): %s\n",
+			overhead.median, overhead.q1, overhead.q3, overheadPairs, metricsOverheadLimitPct, overhead.verdict())
 	}
 
 	snap := newSnapshot(*jobs, measured, seqMeasured)
 	if *metricsOverhead {
-		snap.MetricsOverheadPct = overheadPct
+		snap.MetricsOverheadPct = overhead.median
 	}
 	// The gate verdict goes into the snapshot itself, so a skipped gate
 	// (small runner) is visible in the committed BENCH JSON.
@@ -366,9 +365,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if overheadPct > metricsOverheadLimitPct {
-		fmt.Fprintf(os.Stderr, "snpu-bench: REGRESSION: metrics overhead %.2f%% exceeds the %.1f%% budget\n",
-			overheadPct, metricsOverheadLimitPct)
+	if *metricsOverhead && overhead.verdict() == "fail" {
+		fmt.Fprintf(os.Stderr, "snpu-bench: REGRESSION: metrics overhead lower quartile %+.2f%% exceeds the %.1f%% budget\n",
+			overhead.q1, metricsOverheadLimitPct)
 		os.Exit(1)
 	}
 }

@@ -135,6 +135,30 @@ func TestSpeedupGateStatus(t *testing.T) {
 	}
 }
 
+// TestMetricsOverheadVerdict pins the -metrics-overhead gate: it fails
+// only when the lower quartile of the pair deltas exceeds the 2%
+// bound, and reports "unresolved" when the IQR straddles it.
+func TestMetricsOverheadVerdict(t *testing.T) {
+	for _, c := range []struct {
+		r    overheadReading
+		want string
+	}{
+		{overheadReading{median: 0.4, q1: -1.0, q3: 1.5}, "pass"},
+		{overheadReading{median: -30, q1: -48, q3: -7}, "pass"},
+		{overheadReading{median: 1.1, q1: -7.1, q3: 12.3}, "unresolved"},
+		{overheadReading{median: 2.5, q1: 1.9, q3: 2.0}, "unresolved"},
+		{overheadReading{median: 3.0, q1: 2.1, q3: 4.0}, "fail"},
+	} {
+		if got := c.r.verdict(); got != c.want {
+			t.Errorf("%+v: verdict %q, want %q", c.r, got, c.want)
+		}
+	}
+	deltas := []float64{-7.1, -2.0, 0.5, 1.1, 3.0, 9.4, 12.3}
+	if q1, med, q3 := nearestRank(deltas, 0.25), nearestRank(deltas, 0.5), nearestRank(deltas, 0.75); q1 != -2.0 || med != 1.1 || q3 != 9.4 {
+		t.Errorf("nearest-rank quartiles of %v = %v/%v/%v, want -2/1.1/9.4", deltas, q1, med, q3)
+	}
+}
+
 // TestBenchSnapshotRoundTrip covers the -bench-json emitter: a
 // snapshot survives write/read and the regression comparator flags
 // only genuine >2x slowdowns.

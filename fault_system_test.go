@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/spad"
 )
 
 // Golden cycle counts for the seed workloads. These pin down the
@@ -51,26 +53,21 @@ func TestZeroFaultDeterminism(t *testing.T) {
 	}
 }
 
+// Both secure entry points share one run body, so with no fault plan
+// or an empty one each reads the unarmed golden: layer checkpoints
+// record progress without draining the pipeline.
 func TestZeroFaultDeterminismSecure(t *testing.T) {
-	run := func(install bool) sim.Cycle {
-		sys, err := New(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := ChaosKey(1)
-		if err := sys.ProvisionKey("owner", key); err != nil {
-			t.Fatal(err)
-		}
-		sealed, err := SealModel(key, []byte("weights"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := sys.SubmitSecure("yololite", "owner", sealed)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(install, resilient bool) sim.Cycle {
+		sys, h := bootSecureSys(t, 1)
 		if install {
 			sys.InstallFaultPlan(fault.Plan{})
+		}
+		if resilient {
+			rep, err := sys.RunSecureResilient(h, DefaultMaxRestarts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.Cycles
 		}
 		res, err := sys.RunSecure(h)
 		if err != nil {
@@ -78,33 +75,49 @@ func TestZeroFaultDeterminismSecure(t *testing.T) {
 		}
 		return res.Cycles
 	}
-	plain, armed := run(false), run(true)
-	if plain != goldenYololiteCycles {
-		t.Fatalf("secure golden drift: %d, want %d", plain, goldenYololiteCycles)
+	for _, c := range []struct {
+		name               string
+		install, resilient bool
+	}{
+		{"RunSecure", false, false},
+		{"RunSecure/empty-plan", true, false},
+		{"RunSecureResilient", false, true},
+		{"RunSecureResilient/empty-plan", true, true},
+	} {
+		if got := run(c.install, c.resilient); got != goldenYololiteCycles {
+			t.Errorf("%s: %d cycles, want %d", c.name, got, goldenYololiteCycles)
+		}
 	}
-	if plain != armed {
-		t.Fatalf("empty plan changed the secure run: %d vs %d", plain, armed)
+}
+
+// RunSecure is the zero-restart case of the resilient runner: a hang
+// aborts the task fail-closed instead of leaking the raw watchdog
+// error, and leaves neither a secure core nor a live monitor task.
+func TestResilientRunZeroBudgetFailsClosed(t *testing.T) {
+	sys, h := bootSecureSys(t, 3)
+	sys.InstallFaultPlan(fault.Plan{Events: []fault.Event{{At: 0, Kind: fault.CoreHang}}})
+	_, err := sys.RunSecure(h)
+	if !errors.Is(err, ErrTaskAborted) || err.Error() != "snpu: secure task aborted" {
+		t.Fatalf("err = %v, want the opaque ErrTaskAborted", err)
+	}
+	core, err := sys.NPU().Core(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.Domain() != spad.NonSecure {
+		t.Fatal("core 0 left in the secure domain after a failed RunSecure")
+	}
+	if _, err := sys.Monitor().Task(h.ID); !errors.Is(err, monitor.ErrUnknownTask) {
+		t.Fatalf("monitor task %d still live after abort (err = %v)", h.ID, err)
+	}
+	if got := sys.Stats().Get(sim.CtrUnrecoveredFaults); got != 1 {
+		t.Fatalf("unrecovered counter = %d, want 1", got)
 	}
 }
 
 func resilientRun(t *testing.T, plan fault.Plan) (SecureRunReport, error) {
 	t.Helper()
-	sys, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ChaosKey(3)
-	if err := sys.ProvisionKey("owner", key); err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := SealModel(key, []byte("weights"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sys.SubmitSecure("yololite", "owner", sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, h := bootSecureSys(t, 3)
 	sys.InstallFaultPlan(plan)
 	return sys.RunSecureResilient(h, DefaultMaxRestarts)
 }
@@ -168,15 +181,15 @@ func TestResilientRunAbandonsUnderHangStorm(t *testing.T) {
 	}
 }
 
-// bootResilient boots a protected system with one sealed yololite
-// handle, leaving plan installation to the caller.
-func bootResilientSys(t *testing.T) (*System, *SecureTaskHandle) {
+// bootSecureSys boots a protected system with one yololite handle
+// sealed under ChaosKey(seed), leaving plan installation to the caller.
+func bootSecureSys(t *testing.T, seed int64) (*System, *SecureTaskHandle) {
 	t.Helper()
 	sys, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ChaosKey(3)
+	key := ChaosKey(seed)
 	if err := sys.ProvisionKey("owner", key); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +209,7 @@ func bootResilientSys(t *testing.T) (*System, *SecureTaskHandle) {
 // — not N-1, not N+1 — and the unrecovered-fault counter ticks once.
 func TestResilientRunAbortsExactlyAtBudget(t *testing.T) {
 	for _, budget := range []int{1, 2, 3} {
-		sys, h := bootResilientSys(t)
+		sys, h := bootSecureSys(t, 3)
 		var events []fault.Event
 		for i := 0; i < 4*(budget+1); i++ {
 			events = append(events, fault.Event{At: 0, Kind: fault.CoreHang})
@@ -223,7 +236,7 @@ func TestResilientRunAbortsExactlyAtBudget(t *testing.T) {
 // once the fault clears, with the restart visible in the report and
 // the recovered-fault counter.
 func TestResilientRunFaultBeforeFirstCheckpoint(t *testing.T) {
-	sys, h := bootResilientSys(t)
+	sys, h := bootSecureSys(t, 3)
 	sys.InstallFaultPlan(fault.Plan{Events: []fault.Event{
 		{At: 0, Kind: fault.CoreHang},
 	}})

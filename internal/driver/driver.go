@@ -141,15 +141,12 @@ func (d *Driver) MapTask(u *iommu.IOMMU, t *Task) error {
 }
 
 // RunSolo executes one task alone on a core and reports its runtime.
-func (d *Driver) RunSolo(core *npu.Core, t *Task) (sim.Cycle, error) {
+// A non-nil rec replaces the executor's timeline recorder.
+func (d *Driver) RunSolo(core *npu.Core, t *Task, rec *trace.Recorder) (sim.Cycle, error) {
 	ex := npu.NewExec(core, t.Program, t.ID)
-	return ex.Run(0)
-}
-
-// RunSoloTraced is RunSolo with a timeline recorder attached.
-func (d *Driver) RunSoloTraced(core *npu.Core, t *Task, rec *trace.Recorder) (sim.Cycle, error) {
-	ex := npu.NewExec(core, t.Program, t.ID)
-	ex.Trace = rec
+	if rec != nil {
+		ex.Trace = rec
+	}
 	return ex.Run(0)
 }
 

@@ -293,7 +293,7 @@ func AblationPreemption(model string, cfg npu.Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	solo, err := d.RunSolo(core, low)
+	solo, err := d.RunSolo(core, low, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,11 @@ var (
 // is zero. Attempt n waits base << (n-1).
 const DefaultRetryBackoff sim.Cycle = 100_000
 
-// RetryBackoff is the exponential backoff ladder shared by the
-// scheduler's retry queue and RunSecureResilient-style callers:
-// attempt 1 waits base, attempt 2 waits 2*base, ... The shift is capped
-// so a hostile restart budget cannot overflow the cycle counter.
+// RetryBackoff is the exponential backoff ladder of the scheduler's
+// retry queue: attempt 1 waits base, attempt 2 waits 2*base, ... The
+// shift is capped so a hostile restart budget cannot overflow the
+// cycle counter. The root package's RunSecureResilient does not use
+// it: a restart there pays only the checkpoint restore.
 func RetryBackoff(base sim.Cycle, attempt int) sim.Cycle {
 	if base <= 0 {
 		base = DefaultRetryBackoff

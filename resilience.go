@@ -1,9 +1,11 @@
 package snpu
 
 // This file is the system-level fault story: installing a fault plan
-// arms every hardware site's injector; RunSecureResilient is the NPU
-// Monitor-backed recovery policy on top of the per-site detection
-// mechanisms (ECC, CRC+retry, parity, watchdogs).
+// arms every hardware site's injector; runSecure is the one secure run
+// body and the NPU Monitor-backed recovery policy on top of the
+// per-site detection mechanisms (ECC, CRC+retry, parity, watchdogs).
+// RunSecureResilient runs it with a restart budget; RunSecure is its
+// zero-restart case, so both entry points abort fail-closed.
 //
 // The escalation ladder, bottom to top:
 //
@@ -12,12 +14,14 @@ package snpu
 //	task-level    an unrecovered site error or a hung core surfaces as
 //	              an execution error; the Monitor aborts the task
 //	              fail-closed (scratchpads scrubbed, Guarder cleared,
-//	              model + chunk zeroed) and the run restarts from the
-//	              last layer-boundary checkpoint
+//	              model + chunk zeroed) and, while the restart budget
+//	              lasts, the run restarts from the last layer-boundary
+//	              checkpoint
 //	core-level    a core that hangs twice in a row is marked unhealthy
 //	              and the task remaps to the next core
-//	give-up       past MaxRestarts the task is abandoned; the untrusted
-//	              driver sees only the opaque ErrTaskAborted
+//	give-up       past the restart budget (none for RunSecure) the task
+//	              is abandoned; the untrusted driver sees only the
+//	              opaque ErrTaskAborted
 //
 // Nothing here reads a wall clock or global randomness: with the same
 // plan the whole ladder replays byte-identically.
@@ -81,12 +85,19 @@ type SecureRunReport struct {
 // consecutive failures without checkpoint progress — a crash-loop
 // detector, not a lifetime cap — and once spent the task is abandoned
 // and the caller sees only ErrTaskAborted.
-func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep SecureRunReport, err error) {
-	if s.mon == nil {
-		return rep, fmt.Errorf("snpu: baseline system has no monitor")
-	}
+func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (SecureRunReport, error) {
 	if maxRestarts <= 0 {
 		maxRestarts = DefaultMaxRestarts
+	}
+	return s.runSecure(h, maxRestarts)
+}
+
+// runSecure is the one secure run body: RunSecure is its zero-restart
+// case. Every attempt that loads the task leaves through FnUnload on
+// success or the fail-closed FnAbort on failure.
+func (s *System) runSecure(h *SecureTaskHandle, maxRestarts int) (rep SecureRunReport, err error) {
+	if s.mon == nil {
+		return rep, fmt.Errorf("snpu: baseline system has no monitor")
 	}
 	s.acc.ResetTiming()
 	injectedBefore := s.inj.Injected()
@@ -107,6 +118,10 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 	}()
 
 	for {
+		c, err := s.acc.Core(core)
+		if err != nil {
+			return rep, err
+		}
 		lrep := s.mon.Dispatch(monitor.Call{
 			Func: monitor.FnLoad,
 			Args: []uint64{uint64(h.ID), 0, uint64(spadLines), uint64(core)},
@@ -115,20 +130,20 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 			return rep, lrep.Err
 		}
 		h.Cores = []int{core}
-		c, err := s.acc.Core(core)
-		if err != nil {
-			return rep, err
-		}
 		ex := npu.NewExec(c, prog, h.ID+10000)
 		ex.SkipToLayer(checkpoint)
 
 		// Run layer by layer so the last completed layer boundary is
-		// always known — that boundary is the checkpoint.
+		// always known — that boundary is the checkpoint. Every slice
+		// starts from the attempt's start cycle: a checkpoint records
+		// progress, it does not drain the pipeline, so a fault-free run
+		// costs exactly what a single Exec.Run does.
+		attemptStart := now
 		boundary := npu.BoundaryLayers(1)
 		var runErr error
 		for !ex.Done() {
 			var done sim.Cycle
-			done, runErr = ex.RunUntil(now, boundary)
+			done, runErr = ex.RunUntil(attemptStart, boundary)
 			if runErr != nil {
 				break
 			}
@@ -143,12 +158,7 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 			if urep := s.mon.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(h.ID)}}); urep.Err != nil {
 				return rep, urep.Err
 			}
-			rep.InferenceResult = InferenceResult{
-				Model:       h.prog.w.Name,
-				Cycles:      now,
-				Utilization: npu.Utilization(prog, now, s.cfg.NPU.SystolicDim),
-				MACs:        prog.TotalMACs,
-			}
+			rep.InferenceResult = s.inferenceResult(h.prog.w.Name, prog, now)
 			if s.inj.Injected() > injectedBefore {
 				s.stats.IncID(sim.IDRecoveredFaults)
 			}
@@ -195,17 +205,11 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 		// Restart from the checkpoint: resubmit through the full
 		// verification path (measurement, unsealing, allocation), then
 		// pay the restore cost of the checkpointed accumulator state.
-		srep := s.mon.Dispatch(monitor.Call{
-			Func:     monitor.FnSubmit,
-			Shared:   h.sealed,
-			Program:  prog,
-			Expected: prog.Measurement(),
-			KeyID:    h.keyID,
-		})
-		if srep.Err != nil {
-			return rep, srep.Err
+		id, err := s.submitSecure(prog, h.keyID, h.sealed)
+		if err != nil {
+			return rep, err
 		}
-		h.ID = int(srep.Value)
+		h.ID = id
 		restoreFrom := now
 		now += spad.FlushCost(npu.FlushLiveBytes(prog), s.cfg.NPU.DRAMBytesPerCycle, s.cfg.NPU.DRAMLatency, s.stats)
 		rec.Record(trace.Event{

@@ -279,6 +279,12 @@ func (s *System) RunModel(name string) (InferenceResult, error) {
 // history (use TimeShare or the NPU's lower-level API for genuinely
 // concurrent execution).
 func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
+	return s.runWorkload(w, nil)
+}
+
+// runWorkload is the one non-secure run body behind RunWorkload and
+// RunWorkloadTraced; a non-nil rec replaces the executor's timeline.
+func (s *System) runWorkload(w workload.Workload, rec *trace.Recorder) (InferenceResult, error) {
 	s.acc.ResetTiming()
 	task, err := s.drv.Submit(w, 0, false)
 	if err != nil {
@@ -292,16 +298,21 @@ func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
 	if err := s.mapNonSecure(0, task); err != nil {
 		return InferenceResult{}, err
 	}
-	cycles, err := s.drv.RunSolo(core, task)
+	cycles, err := s.drv.RunSolo(core, task, rec)
 	if err != nil {
 		return InferenceResult{}, err
 	}
+	return s.inferenceResult(w.Name, task.Program, cycles), nil
+}
+
+// inferenceResult reports a completed run of prog.
+func (s *System) inferenceResult(model string, prog *npu.Program, cycles sim.Cycle) InferenceResult {
 	return InferenceResult{
-		Model:       w.Name,
+		Model:       model,
 		Cycles:      cycles,
-		Utilization: npu.Utilization(task.Program, cycles, s.cfg.NPU.SystolicDim),
-		MACs:        task.Program.TotalMACs,
-	}, nil
+		Utilization: npu.Utilization(prog, cycles, s.cfg.NPU.SystolicDim),
+		MACs:        prog.TotalMACs,
+	}
 }
 
 // mapNonSecure installs a task's translation window through the
@@ -339,19 +350,6 @@ func (s *System) RunModelTraced(name string, w io.Writer) (InferenceResult, erro
 // RunWorkloadTraced is RunModelTraced for a caller-provided workload
 // (e.g. one lowered from a graph-IR file).
 func (s *System) RunWorkloadTraced(wl workload.Workload, w io.Writer) (InferenceResult, error) {
-	s.acc.ResetTiming()
-	task, err := s.drv.Submit(wl, 0, false)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	defer func() { _ = s.drv.Release(task) }()
-	core, err := s.acc.Core(0)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	if err := s.mapNonSecure(0, task); err != nil {
-		return InferenceResult{}, err
-	}
 	// With span-recording observability enabled, reuse its recorder so
 	// component spans (noc.send, dma.mvin, iotlb.walk, ...) land on the
 	// same Chrome timeline as the op events.
@@ -359,19 +357,14 @@ func (s *System) RunWorkloadTraced(wl workload.Workload, w io.Writer) (Inference
 	if rec == nil {
 		rec = trace.New(1 << 20)
 	}
-	cycles, err := s.drv.RunSoloTraced(core, task, rec)
+	res, err := s.runWorkload(wl, rec)
 	if err != nil {
 		return InferenceResult{}, err
 	}
 	if err := rec.ExportChrome(w); err != nil {
 		return InferenceResult{}, err
 	}
-	return InferenceResult{
-		Model:       wl.Name,
-		Cycles:      cycles,
-		Utilization: npu.Utilization(task.Program, cycles, s.cfg.NPU.SystolicDim),
-		MACs:        task.Program.TotalMACs,
-	}, nil
+	return res, nil
 }
 
 // SecureTaskHandle identifies a verified secure task. It keeps the
@@ -469,6 +462,22 @@ func (s *System) SubmitSecureWorkload(w workload.Workload, keyID string, sealedM
 	if err != nil {
 		return nil, err
 	}
+	id, err := s.submitSecure(prog, keyID, sealedModel)
+	if err != nil {
+		return nil, err
+	}
+	return &SecureTaskHandle{
+		ID:     id,
+		prog:   &workloadProg{w: w, prog: prog},
+		keyID:  keyID,
+		sealed: append([]byte(nil), sealedModel...),
+	}, nil
+}
+
+// submitSecure sends a compiled program and its sealed model through
+// the monitor's verification path (measurement check, unsealing,
+// allocation) and returns the queued task's ID.
+func (s *System) submitSecure(prog *npu.Program, keyID string, sealedModel []byte) (int, error) {
 	rep := s.mon.Dispatch(monitor.Call{
 		Func:     monitor.FnSubmit,
 		Shared:   sealedModel,
@@ -476,54 +485,18 @@ func (s *System) SubmitSecureWorkload(w workload.Workload, keyID string, sealedM
 		Expected: prog.Measurement(),
 		KeyID:    keyID,
 	})
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	return &SecureTaskHandle{
-		ID:     int(rep.Value),
-		prog:   &workloadProg{w: w, prog: prog},
-		keyID:  keyID,
-		sealed: append([]byte(nil), sealedModel...),
-	}, nil
+	return int(rep.Value), rep.Err
 }
 
 // RunSecure loads the task onto core 0 (flipping it into the secure
 // domain, programming its Guarder) and executes it, then unloads —
 // scrubbing secure scratchpad lines and returning the core to the
-// normal world.
+// normal world. It is RunSecureResilient with no restart budget: a
+// fault aborts the task fail-closed and surfaces only as
+// ErrTaskAborted.
 func (s *System) RunSecure(h *SecureTaskHandle) (InferenceResult, error) {
-	if s.mon == nil {
-		return InferenceResult{}, fmt.Errorf("snpu: baseline system has no monitor")
-	}
-	const core = 0
-	s.acc.ResetTiming()
-	spadLines := s.cfg.NPU.SpadLines()
-	rep := s.mon.Dispatch(monitor.Call{
-		Func: monitor.FnLoad,
-		Args: []uint64{uint64(h.ID), 0, uint64(spadLines), core},
-	})
-	if rep.Err != nil {
-		return InferenceResult{}, rep.Err
-	}
-	h.Cores = []int{core}
-	c, err := s.acc.Core(core)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	ex := npu.NewExec(c, h.prog.prog, h.ID+10000)
-	cycles, err := ex.Run(0)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	if rep := s.mon.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(h.ID)}}); rep.Err != nil {
-		return InferenceResult{}, rep.Err
-	}
-	return InferenceResult{
-		Model:       h.prog.w.Name,
-		Cycles:      cycles,
-		Utilization: npu.Utilization(h.prog.prog, cycles, s.cfg.NPU.SystolicDim),
-		MACs:        h.prog.prog.TotalMACs,
-	}, nil
+	rep, err := s.runSecure(h, 0)
+	return rep.InferenceResult, err
 }
 
 // TransferMode re-exports the multi-core activation transfer modes.
