@@ -56,12 +56,12 @@ func HostileMonitorScenario() Scenario {
 			{ID: 2, Tenant: "t0", Model: "mobilenet", Arrival: 1_000_000},
 		},
 		MonCalls: []MonCall{
-			{Fn: 2, A: [3]byte{1, 0, 0}},   // FnLoad of a stale task id
-			{Fn: 8, A: [3]byte{1, 0, 0}},   // FnPreempt, same
-			{Fn: 7, A: [3]byte{3, 0, 0}},   // FnAbort of an unknown id
-			{Fn: 5, A: [3]byte{0, 2, 5}},   // FnMapNonSecure, odd A[2]: secure target
-			{Fn: 5, A: [3]byte{1, 3, 4}},   // FnMapNonSecure, even A[2]: reserved DRAM
-			{Fn: 6, A: [3]byte{9, 9, 9}},   // FnSubmitImage with garbage bytes
+			{Fn: 2, A: [3]byte{1, 0, 0}}, // FnLoad of a stale task id
+			{Fn: 8, A: [3]byte{1, 0, 0}}, // FnPreempt, same
+			{Fn: 7, A: [3]byte{3, 0, 0}}, // FnAbort of an unknown id
+			{Fn: 5, A: [3]byte{0, 2, 5}}, // FnMapNonSecure, odd A[2]: secure target
+			{Fn: 5, A: [3]byte{1, 3, 4}}, // FnMapNonSecure, even A[2]: reserved DRAM
+			{Fn: 6, A: [3]byte{9, 9, 9}}, // FnSubmitImage with garbage bytes
 		},
 	}
 	return sc

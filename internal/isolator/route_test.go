@@ -61,21 +61,6 @@ func TestVerifyRouteRejectsWrongCountDuplicatesAndHoles(t *testing.T) {
 	}
 }
 
-func TestCanonicalOrderRowMajor(t *testing.T) {
-	in := coords(1, 1, 0, 0, 1, 0, 0, 1)
-	got := CanonicalOrder(in)
-	want := coords(0, 0, 1, 0, 0, 1, 1, 1)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
-	}
-	// Input untouched.
-	if in[0] != (noc.Coord{X: 1, Y: 1}) {
-		t.Fatal("CanonicalOrder mutated its input")
-	}
-}
-
 // Property: any true WxH rectangle anywhere in the plane verifies, in
 // any listing order; removing one core or displacing one corner breaks
 // it.

@@ -110,16 +110,6 @@ func (m *Physical) FindRegion(addr PhysAddr) (Region, bool) {
 	return Region{}, false
 }
 
-// RegionByName returns the named region, if registered.
-func (m *Physical) RegionByName(name string) (Region, bool) {
-	for _, r := range m.regions {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
 // CheckAccess verifies that the given world may access [addr,
 // addr+size) with permission need. The range must lie within mapped
 // regions; cross-world access needs the region's CrossPerm.

@@ -12,7 +12,7 @@ import (
 	"repro/internal/xlate"
 )
 
-func testNPU(t *testing.T, cfg Config, makeXlate func(int) xlate.Translator) *NPU {
+func testNPU(t testing.TB, cfg Config, makeXlate func(int) xlate.Translator) *NPU {
 	t.Helper()
 	phys := mem.NewPhysical()
 	n, err := New(cfg, phys, sim.NewStats(), makeXlate)
@@ -280,38 +280,6 @@ func TestGuardedExecNeedsMappings(t *testing.T) {
 	}
 	if _, err := NewExec(core, prog, 1).Run(0); err != nil {
 		t.Fatalf("mapped program failed: %v", err)
-	}
-}
-
-func TestPipelineNoCFasterThanSharedMemory(t *testing.T) {
-	prog, _, err := Compile(smallWorkload(), DefaultConfig(), 0, DefaultLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(mode TransferMode) sim.Cycle {
-		n := testNPU(t, DefaultConfig(), nil)
-		stages := []Stage{
-			{Core: 0, Program: prog, ActOutBytes: 64 << 10},
-			{Core: 1, Program: prog, ActOutBytes: 64 << 10},
-			{Core: 2, Program: prog},
-		}
-		res, err := n.RunPipeline(stages, 4, mode, 0x4000_0000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TotalCycles
-	}
-	nocT := run(TransferNoC)
-	shmT := run(TransferSharedMemory)
-	if nocT >= shmT {
-		t.Fatalf("NoC pipeline (%d) not faster than shared-memory (%d)", nocT, shmT)
-	}
-}
-
-func TestPipelineValidation(t *testing.T) {
-	n := testNPU(t, DefaultConfig(), nil)
-	if _, err := n.RunPipeline(nil, 1, TransferNoC, 0); err == nil {
-		t.Fatal("empty pipeline accepted")
 	}
 }
 

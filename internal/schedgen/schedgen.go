@@ -90,9 +90,9 @@ var Models = []string{"mobilenet", "yololite"}
 // Profile bounds a schedule draw. The zero value is not useful; start
 // from DefaultProfile (the property suite's historical distribution).
 type Profile struct {
-	MaxCores         int     // cores drawn as 1 + Intn(MaxCores)
-	MaxTenants       int     // tenants drawn as 1 + Intn(MaxTenants)
-	MinRequests      int     // requests drawn as MinRequests + Intn(MaxExtraRequests)
+	MaxCores         int // cores drawn as 1 + Intn(MaxCores)
+	MaxTenants       int // tenants drawn as 1 + Intn(MaxTenants)
+	MinRequests      int // requests drawn as MinRequests + Intn(MaxExtraRequests)
 	MaxExtraRequests int
 	SecureFrac       float64 // probability a request is secure
 	DeadlineFrac     float64 // probability a request carries a deadline

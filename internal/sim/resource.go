@@ -53,14 +53,6 @@ func (r *Resource) BusyCycles() Cycle { return r.busy }
 // Claims reports how many grants have been made.
 func (r *Resource) Claims() uint64 { return r.claims }
 
-// Utilization reports busy/total over the window [0, horizon].
-func (r *Resource) Utilization(horizon Cycle) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(horizon)
-}
-
 // Reset returns the resource to its initial idle state.
 func (r *Resource) Reset() {
 	r.nextFree = 0

@@ -59,43 +59,3 @@ func FlushCost(liveBytes uint64, bandwidthBytesPerCycle uint64, dmaLatency sim.C
 	stats.AddID(sim.IDSpadFlushBytes, int64(2*liveBytes))
 	return cycles
 }
-
-// Partition is a static split of a scratchpad between the trusted and
-// untrusted worlds (Fig. 6(a), Fig. 15): the trusted task owns
-// [0, Boundary) lines, the untrusted task owns the rest. The split is
-// fixed at configuration time; fragmentation and misfit are the cost.
-type Partition struct {
-	TotalLines int
-	Boundary   int // first untrusted line
-}
-
-// NewPartition splits lines so the trusted world owns the given
-// fraction (e.g., 0.25, 0.5, 0.75).
-func NewPartition(totalLines int, trustedFraction float64) Partition {
-	b := int(float64(totalLines) * trustedFraction)
-	if b < 0 {
-		b = 0
-	}
-	if b > totalLines {
-		b = totalLines
-	}
-	return Partition{TotalLines: totalLines, Boundary: b}
-}
-
-// TrustedLines reports the trusted share.
-func (p Partition) TrustedLines() int { return p.Boundary }
-
-// UntrustedLines reports the untrusted share.
-func (p Partition) UntrustedLines() int { return p.TotalLines - p.Boundary }
-
-// Allows reports whether a world's access to a line respects the
-// static split (secure domain maps to the trusted share).
-func (p Partition) Allows(d DomainID, line int) bool {
-	if line < 0 || line >= p.TotalLines {
-		return false
-	}
-	if d == NonSecure {
-		return line >= p.Boundary
-	}
-	return line < p.Boundary
-}

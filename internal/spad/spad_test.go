@@ -296,23 +296,3 @@ func TestFlushGranularityString(t *testing.T) {
 		}
 	}
 }
-
-func TestPartition(t *testing.T) {
-	p := NewPartition(100, 0.25)
-	if p.TrustedLines() != 25 || p.UntrustedLines() != 75 {
-		t.Fatalf("split = %d/%d", p.TrustedLines(), p.UntrustedLines())
-	}
-	if !p.Allows(SecureDomain, 0) || p.Allows(SecureDomain, 25) {
-		t.Fatal("trusted boundary wrong")
-	}
-	if p.Allows(NonSecure, 24) || !p.Allows(NonSecure, 25) {
-		t.Fatal("untrusted boundary wrong")
-	}
-	if p.Allows(NonSecure, -1) || p.Allows(SecureDomain, 100) {
-		t.Fatal("out-of-range lines allowed")
-	}
-	// Clamping.
-	if NewPartition(10, -1).TrustedLines() != 0 || NewPartition(10, 2).TrustedLines() != 10 {
-		t.Fatal("fraction clamping broken")
-	}
-}

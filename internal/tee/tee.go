@@ -1,9 +1,10 @@
 // Package tee models the CPU-side trusted execution environment the
-// paper builds on (§II background; Penglai-style on RISC-V): a two-world hardware
-// partition, PMP-like region registers enforced by the most privileged
-// mode, a secure-boot measurement chain, and the privilege gate that
-// makes "secure instructions" (the only way to program sNPU security
-// state) meaningful in the simulation.
+// paper builds on (§II background; Penglai-style on RISC-V): a two-world
+// hardware partition over physical memory (whose region map,
+// mem.Physical.CheckAccess, is the CPU-side access check), a
+// secure-boot measurement chain, and the privilege gate that makes
+// "secure instructions" (the only way to program sNPU security state)
+// meaningful in the simulation.
 package tee
 
 import (
@@ -47,22 +48,10 @@ func (c Context) RequireSecure() error {
 	return nil
 }
 
-// PMPEntry is a physical-memory-protection register: an address range
-// plus the worlds and permissions it grants. The monitor programs
-// these at boot to carve the secure partition.
-type PMPEntry struct {
-	Base  mem.PhysAddr
-	Size  uint64
-	World mem.World
-	Perm  mem.Perm
-}
-
-// Machine is the SoC's trust anchor: it owns the world partition, the
-// PMP register file, and the secure-boot state. Exactly one Machine
-// exists per simulated SoC.
+// Machine is the SoC's trust anchor: it owns the world partition and
+// the secure-boot state. Exactly one Machine exists per simulated SoC.
 type Machine struct {
 	phys    *mem.Physical
-	pmp     []PMPEntry
 	boot    *BootChain
 	secured bool
 }
@@ -86,46 +75,6 @@ func (m *Machine) SecureContext() Context {
 // the OS, the NPU driver, and non-secure tasks.
 func (m *Machine) NormalContext() Context {
 	return Context{machine: m, world: mem.Normal}
-}
-
-// ProgramPMP installs a PMP entry. Only the secure world may program
-// PMP registers.
-func (m *Machine) ProgramPMP(ctx Context, e PMPEntry) error {
-	if err := ctx.RequireSecure(); err != nil {
-		return err
-	}
-	if e.Size == 0 {
-		return errors.New("tee: zero-size PMP entry")
-	}
-	m.pmp = append(m.pmp, e)
-	return nil
-}
-
-// PMPEntries returns a copy of the PMP register file.
-func (m *Machine) PMPEntries() []PMPEntry {
-	out := make([]PMPEntry, len(m.pmp))
-	copy(out, m.pmp)
-	return out
-}
-
-// CheckPMP verifies a CPU-side access against the PMP file: the access
-// is allowed if the world matches a covering entry with the needed
-// permission, in addition to the region-map check in mem.Physical.
-func (m *Machine) CheckPMP(world mem.World, addr mem.PhysAddr, size uint64, need mem.Perm) error {
-	if err := m.phys.CheckAccess(world, addr, size, need); err != nil {
-		return err
-	}
-	if len(m.pmp) == 0 {
-		return nil // PMP not yet programmed: region map alone governs
-	}
-	for _, e := range m.pmp {
-		if e.World == world && addr >= e.Base &&
-			addr+mem.PhysAddr(size) <= e.Base+mem.PhysAddr(e.Size) && e.Perm.Has(need) {
-			return nil
-		}
-	}
-	return fmt.Errorf("tee: %s access [%#x,+%d) by %s world matches no PMP entry",
-		need, uint64(addr), size, world)
 }
 
 // Measurement is a sha256 digest used throughout the trust chain.

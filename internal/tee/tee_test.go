@@ -35,50 +35,6 @@ func TestContextPrivilege(t *testing.T) {
 	}
 }
 
-func TestProgramPMPRequiresSecure(t *testing.T) {
-	m := newMachine(t)
-	e := PMPEntry{Base: 0x9000_0000, Size: 0x1000, World: mem.Secure, Perm: mem.PermRW}
-	if err := m.ProgramPMP(m.NormalContext(), e); !errors.Is(err, ErrPrivilege) {
-		t.Fatalf("normal world programmed PMP: %v", err)
-	}
-	if err := m.ProgramPMP(m.SecureContext(), e); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ProgramPMP(m.SecureContext(), PMPEntry{Size: 0}); err == nil {
-		t.Fatal("zero-size PMP entry accepted")
-	}
-	if len(m.PMPEntries()) != 1 {
-		t.Fatalf("pmp entries = %d", len(m.PMPEntries()))
-	}
-}
-
-func TestCheckPMP(t *testing.T) {
-	m := newMachine(t)
-	sec := m.SecureContext()
-	// Before PMP programming, the region map governs alone.
-	if err := m.CheckPMP(mem.Normal, 0x8000_0000, 64, mem.PermRW); err != nil {
-		t.Fatalf("pre-PMP normal access denied: %v", err)
-	}
-	if err := m.ProgramPMP(sec, PMPEntry{Base: 0x9000_0000, Size: 0x1000, World: mem.Secure, Perm: mem.PermRW}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ProgramPMP(sec, PMPEntry{Base: 0x8000_0000, Size: 0x1000_0000, World: mem.Normal, Perm: mem.PermRW}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CheckPMP(mem.Secure, 0x9000_0000, 64, mem.PermRW); err != nil {
-		t.Fatalf("secure access inside PMP window denied: %v", err)
-	}
-	// Secure access outside any secure PMP window is denied even though
-	// the region map would allow it.
-	if err := m.CheckPMP(mem.Secure, 0x9000_2000, 64, mem.PermRead); err == nil {
-		t.Fatal("secure access outside PMP window allowed")
-	}
-	// Normal access to secure memory fails at the region map already.
-	if err := m.CheckPMP(mem.Normal, 0x9000_0000, 4, mem.PermRead); err == nil {
-		t.Fatal("normal world read secure memory")
-	}
-}
-
 func chainFor(blobs ...[]byte) (*BootChain, [][]byte) {
 	b := NewBootChain()
 	names := []string{"trusted-loader", "trusted-firmware", "teeos", "npu-monitor"}

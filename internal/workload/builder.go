@@ -1,7 +1,8 @@
 package workload
 
-// Public layer builders so library users can describe their own
-// networks with the same lowering the six built-in models use.
+// Exported layer builders: the graph IR front end (internal/graph)
+// lowers Conv/DWConv/FC/MatMul nodes through them, so a described
+// model gets the same lowering the built-in models use.
 
 // Conv lowers a standard convolution to its im2col GEMM. h and w are
 // the input spatial dims, c the input channels, k the filter count, r
@@ -24,28 +25,4 @@ func FC(name string, in, out int) GEMM {
 // MatMul describes a raw GEMM (attention scores, projections, ...).
 func MatMul(name string, m, k, n int) GEMM {
 	return GEMM{Name: name, M: m, K: k, N: n}
-}
-
-// Builder accumulates layers into a Workload.
-type Builder struct {
-	w Workload
-}
-
-// NewBuilder starts a named workload.
-func NewBuilder(name string) *Builder {
-	return &Builder{w: Workload{Name: name}}
-}
-
-// Layer appends one scheduling-boundary layer holding the given GEMMs.
-func (b *Builder) Layer(name string, gemms ...GEMM) *Builder {
-	b.w.Layers = append(b.w.Layers, Layer{Name: name, GEMMs: gemms})
-	return b
-}
-
-// Build validates and returns the workload.
-func (b *Builder) Build() (Workload, error) {
-	if err := b.w.Validate(); err != nil {
-		return Workload{}, err
-	}
-	return b.w, nil
 }

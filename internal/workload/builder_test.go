@@ -2,33 +2,6 @@ package workload
 
 import "testing"
 
-func TestBuilderConstructsValidWorkload(t *testing.T) {
-	w, err := NewBuilder("tiny-cnn").
-		Layer("conv1", Conv("conv1", 32, 32, 3, 16, 3, 1, 1)).
-		Layer("dw2", DWConv("dw2", 32, 32, 16, 3, 1, 1)).
-		Layer("attn", MatMul("scores", 64, 16, 64)).
-		Layer("fc", FC("fc", 256, 10)).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Layers) != 4 || w.Name != "tiny-cnn" {
-		t.Fatalf("workload = %+v", w)
-	}
-	if w.MACs() <= 0 {
-		t.Fatal("no work")
-	}
-}
-
-func TestBuilderRejectsEmptyAndInvalid(t *testing.T) {
-	if _, err := NewBuilder("empty").Build(); err == nil {
-		t.Fatal("empty workload built")
-	}
-	if _, err := NewBuilder("bad").Layer("l", GEMM{Name: "z"}).Build(); err == nil {
-		t.Fatal("invalid GEMM built")
-	}
-}
-
 func TestExportedBuildersMatchInternal(t *testing.T) {
 	if Conv("c", 27, 27, 96, 256, 5, 1, 2) != conv("c", 27, 27, 96, 256, 5, 1, 2) {
 		t.Fatal("Conv diverges")

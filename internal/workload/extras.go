@@ -87,4 +87,3 @@ func DLRM() Workload {
 	}
 	return Workload{Name: "dlrm", Layers: layers}
 }
-
